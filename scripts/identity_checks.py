@@ -16,6 +16,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from floordiagrams.cli import CONJECTURE_INSTANCES
 from floordiagrams.fixtures import reference_rows
 from floordiagrams.invariants import InvariantError, InvariantTable
 from floordiagrams.laurent import LaurentPoly
@@ -34,20 +35,14 @@ def engine_suites(max_index: int) -> bool:
               f"{'pass' if report['passed'] else 'FAIL'}")
         ok = ok and report["passed"]
 
-    instances = (
-        [(1, b, 0, 0) for b in range(6)]
-        + [(2, 0, 1, 0)] + [(2, 0, 0, s) for s in range(4)]
-        + [(2, 2, g, 0) for g in (1, 2, 3)] + [(2, 2, 0, s) for s in range(6)]
-        + [(3, 0, g, 0) for g in (1, 2, 3, 4)] + [(3, 0, 0, s) for s in range(3)]
-    )
     bad = 0
-    for a, b, genus, pairs in instances:
+    for a, b, genus, pairs in CONJECTURE_INSTANCES:
         result = surgery.check_conjecture_quadric(table, a, b, genus, pairs)
         if not result["passed"]:
             bad += 1
             print(f"  conj-quadric FAIL ({a},{b}) g={genus} s={pairs}: "
                   f"lhs={result['lhs']} rhs={result['rhs']}")
-    print(f"conj-quadric (engine values): {len(instances)} instances, "
+    print(f"conj-quadric (engine values): {len(CONJECTURE_INSTANCES)} instances, "
           f"{'pass' if not bad else f'{bad} FAIL'}")
     return ok and not bad
 
@@ -61,11 +56,8 @@ def reference_probe(fixtures: str | None) -> None:
     def rectangle_value(table, m, n, genus, pairs):
         for key in (("QH", m, n, genus, pairs), ("QH", n, m, genus, pairs)):
             if key in rows:
-                return rows[key], "reference"
-        rect = HPolygon.rectangle(m, n)
-        if pairs:
-            return table.refined_descendant(rect, pairs), "engine"
-        return table.refined_invariant(rect, genus), "engine"
+                return rows[key]
+        return table.record(HPolygon.rectangle(m, n), genus, pairs).value
 
     table = InvariantTable()
     print("\nreference-table cross-consistency (quadric expansion):")
@@ -74,12 +66,9 @@ def reference_probe(fixtures: str | None) -> None:
         if surface != "Sigma2":
             continue
         rhs = LaurentPoly.zero()
-        for k in range(a + 1):
-            m, n = a + b + k, a - k
-            if n < 1:
-                break
-            value, _ = rectangle_value(table, m, n, genus, pairs)
-            rhs = rhs + surgery.u_coeff(b, k) * value
+        for term in surgery.quadric_rhs_terms(a, b):
+            value = rectangle_value(table, *term["bidegree"], genus, pairs)
+            rhs = rhs + term["coeff"] * value
         if rhs != lhs:
             disagreements.append(((a, b, genus, pairs), lhs, rhs))
     if not disagreements:
@@ -89,7 +78,7 @@ def reference_probe(fixtures: str | None) -> None:
         print(f"  ({a},{b}) g={genus} s={pairs}: trapezoid row {lhs}")
         print(f"      rectangle expansion gives {rhs}")
     # localize: swapping in the engine's disputed rectangle value
-    engine_rect = InvariantTable().refined_descendant(HPolygon.rectangle(2, 4), 5)
+    engine_rect = table.refined_descendant(HPolygon.rectangle(2, 4), 5)
     print(f"  note: the engine computes rect:2,4 s=5 as {engine_rect}; substituting it")
     print("  into the expansion restores consistency, so the printed rectangle cell")
     print("  (and the trapezoid cell tied to it) carry the divergence.")

@@ -20,7 +20,6 @@ from .surgery import (
     check_increase,
     check_mainproof_coeffs,
     check_u_inversion,
-    gamma_transform,
     lagrangian_transform,
     u_coeff,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "check_mainproof_coeffs",
     "check_u_inversion",
     "enumerate_diagrams",
-    "gamma_transform",
     "is_degenerate",
     "lagrangian_transform",
     "max_pairs",

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent import futures
 
 from .fixtures import reference_rows
 from .floordiag import enumerate_diagrams, refined_invariant
@@ -128,7 +127,12 @@ def run_compute(args) -> int:
     records = []
     for genus in genus_span:
         for pairs in pairs_span:
-            rec = table.record(polygon, genus, pairs)
+            try:
+                rec = table.record(polygon, genus, pairs)
+            except InvariantError as err:
+                if max(pairs_span) > 0:
+                    err.trace = table.recursion_trace(polygon, max(pairs_span))
+                raise
             entry = {
                 "polygon": label,
                 "vertices": [list(v) for v in polygon.vertices],
@@ -166,39 +170,21 @@ def run_compute(args) -> int:
     return 0
 
 
-def _reference_cell(task):
-    surface, a, b, genus, pairs = task
-    if surface == "QH":
-        polygon = HPolygon.rectangle(a, b)
-    else:
-        polygon = HPolygon.sigma2_trapezoid(a, b)
-    try:
-        rec = InvariantTable().record(polygon, genus, pairs)
-    except InvariantError as err:
-        return {"error": str(err)}
-    return {"coeffs": rec.value.to_json_dict(), "extrapolated": rec.extrapolated}
-
-
 def run_appendix(args) -> int:
     rows = reference_rows(args.fixtures)
     if args.genus_only:
         rows = tuple(r for r in rows if r.pairs == 0)
-    if args.workers > 1:
-        tasks = [(r.surface, r.a, r.b, r.genus, r.pairs) for r in rows]
-        with futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            computed = list(pool.map(_reference_cell, tasks))
-    else:
-        table = InvariantTable(cache_path=args.cache)
-        computed = []
-        for row in rows:
-            try:
-                rec = table.record(row.polygon(), row.genus, row.pairs)
-            except InvariantError as err:
-                computed.append({"error": str(err)})
-            else:
-                computed.append(
-                    {"coeffs": rec.value.to_json_dict(), "extrapolated": rec.extrapolated}
-                )
+    table = InvariantTable(cache_path=args.cache)
+    computed = []
+    for row in rows:
+        try:
+            rec = table.record(row.polygon(), row.genus, row.pairs)
+        except InvariantError as err:
+            computed.append({"error": str(err)})
+        else:
+            computed.append(
+                {"coeffs": rec.value.to_json_dict(), "extrapolated": rec.extrapolated}
+            )
     report = []
     for row, cell in sorted(zip(rows, computed), key=lambda rc: rc[0].label()):
         entry = {"row": row.label(), "expected": row.value.to_json_dict()}
@@ -374,7 +360,6 @@ def run_verify(args) -> int:
             sub = argparse.Namespace(
                 fixtures=args.fixtures,
                 genus_only=False,
-                workers=args.workers,
                 cache=args.cache,
                 emit="text" if args.emit == "text" else "json",
             )
@@ -456,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=("identities", "appendix", "all"))
     verify.add_argument("--max", type=int, default=12, help="size bound for index sweeps")
     verify.add_argument("--fixtures", help="alternative golden-table JSON file")
-    verify.add_argument("--workers", type=int, default=1)
     verify.add_argument("--emit", choices=("text", "json"), default="text")
     verify.set_defaults(func=run_verify)
 
@@ -467,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="only rows with pairs = 0 (pure diagram enumeration)",
     )
-    appendix.add_argument("--workers", type=int, default=1)
     appendix.add_argument("--emit", choices=("text", "json"), default="text")
     appendix.set_defaults(func=run_appendix)
 
@@ -485,27 +468,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except InvariantError as err:
         print(f"error: {err}", file=sys.stderr)
-        trace = _stuck_trace(args)
-        if trace is not None:
-            print(json.dumps(trace, indent=2, sort_keys=True), file=sys.stderr)
+        if err.trace is not None:
+            print(json.dumps(err.trace, indent=2, sort_keys=True), file=sys.stderr)
         return 2
     except (PolygonError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-
-def _stuck_trace(args):
-    """Recursion trace for a stuck compute request, for the error report."""
-    if getattr(args, "command", None) != "compute":
-        return None
-    try:
-        polygon, _ = _load_polygon(args)
-        top = max(_parse_span(args.pairs))
-    except (ValueError, OSError, PolygonError):
-        return None
-    if top == 0:
-        return None
-    return InvariantTable().recursion_trace(polygon, top)
 
 
 if __name__ == "__main__":

@@ -151,7 +151,11 @@ class FloorDiagram:
 
         count = extensions((1 << n) - 1)
         q, r = divmod(count, self.automorphism_size())
-        assert r == 0
+        if r:
+            raise DiagramError(
+                f"{count} linear extensions are not a multiple of the "
+                f"{self.automorphism_size()} automorphisms"
+            )
         return q
 
 

@@ -24,14 +24,20 @@ from dataclasses import dataclass
 
 from .floordiag import refined_invariant as _direct_invariant
 from .laurent import LaurentPoly
-from .polygon import DEGENERATE, HPolygon, is_degenerate
+from .polygon import HPolygon, is_degenerate
 
 ENGINE_VERSION = "0.1.0"
 CACHE_ENV_VAR = "FLOORDIAGRAMS_CACHE"
 
 
 class InvariantError(ValueError):
-    pass
+    """A request the tables cannot answer.
+
+    trace holds the recursion trace of the failed request once a caller that
+    wants to report it has built one.
+    """
+
+    trace: dict | None = None
 
 
 def _stuck_error(polygon) -> InvariantError:
@@ -47,6 +53,20 @@ def _stuck_error(polygon) -> InvariantError:
         f"pair recursion is stuck on {polygon!r}: the class d - 2E is "
         f"nonempty but {detail}"
     )
+
+
+def _pair_step(polygon) -> tuple:
+    """The (corner, cut polygon) options for removing one pair from polygon.
+
+    Empty when no corner admits the cut and the polygon has no interior
+    lattice points: d - 2E then has negative arithmetic genus, so the
+    correction term is an empty count.  Raises when no corner admits the cut
+    but the class is nonempty.
+    """
+    corners = polygon.admissible_cut_corners()
+    if not corners and polygon.interior_lattice_count() > 0:
+        raise _stuck_error(polygon)
+    return tuple((corner, polygon.corner_cut(corner)) for corner in corners)
 
 
 def max_pairs(polygon) -> int:
@@ -140,22 +160,13 @@ class InvariantTable:
         if pairs == 0:
             return InvariantRecord(_direct_invariant(polygon, genus), False)
         sub_full = self.record(polygon, 0, pairs - 1)
-        step_extrapolated = not polygon.has_small_del_pezzo_fan()
-        corners = polygon.admissible_cut_corners()
-        if corners:
-            cut = polygon.corner_cut(corners[0])
-            sub_cut = self.record(cut, 0, pairs - 1)
-            value = sub_full.value - 2 * sub_cut.value
-            extrapolated = (
-                step_extrapolated or sub_full.extrapolated or sub_cut.extrapolated
-            )
-        elif polygon.interior_lattice_count() == 0:
-            # no interior points: d - 2E has negative arithmetic genus, so the
-            # correction term is an empty count
-            value = sub_full.value
-            extrapolated = step_extrapolated or sub_full.extrapolated
-        else:
-            raise _stuck_error(polygon)
+        value = sub_full.value
+        extrapolated = not polygon.has_small_del_pezzo_fan() or sub_full.extrapolated
+        options = _pair_step(polygon)
+        if options:
+            sub_cut = self.record(options[0][1], 0, pairs - 1)
+            value = value - 2 * sub_cut.value
+            extrapolated = extrapolated or sub_cut.extrapolated
         return InvariantRecord(value, extrapolated)
 
     def descendant_value_set(self, polygon, pairs: int) -> tuple[LaurentPoly, ...]:
@@ -178,16 +189,14 @@ class InvariantTable:
                 out = (self.refined_invariant(poly, 0),)
             else:
                 base = sweep(poly, s - 1)
-                corners = poly.admissible_cut_corners()
-                if not corners:
-                    if poly.interior_lattice_count() > 0:
-                        raise _stuck_error(poly)
+                options = _pair_step(poly)
+                if not options:
                     out = base
                 else:
                     values = set()
-                    for corner in corners:
+                    for _, cut in options:
                         for v_full in base:
-                            for v_cut in sweep(poly.corner_cut(corner), s - 1):
+                            for v_cut in sweep(cut, s - 1):
                                 values.add(v_full - 2 * v_cut)
                     out = tuple(sorted(values, key=lambda p: p.items_doubled()))
             memo[key] = out
@@ -195,14 +204,28 @@ class InvariantTable:
 
         return sweep(polygon, pairs)
 
-    def recursion_trace(self, polygon, pairs: int) -> dict:
-        """Full unfolding of the recursion, for mismatch and blockage reports."""
+    def recursion_trace(self, polygon, pairs: int, visited: set | None = None) -> dict:
+        """Unfolding of the recursion, for mismatch and blockage reports.
+
+        Each node holds the polygon, its pair count and its value or error.
+        Above pairs = 0 it also holds the cut "corner" (None when the
+        correction term is an empty count) and "children": the same polygon
+        and its cut, one pair lower.  The walk is memoized on (canonical
+        polygon, pairs): only the first occurrence of a key is expanded, and
+        later ones are "repeat" nodes without children.  A blocked node, where
+        no corner admits the cut of a nonempty class, ends its branch.
+        visited holds the keys the walk has reached so far.
+        """
         if is_degenerate(polygon):
             return {"polygon": "degenerate", "pairs": pairs, "value": {}}
-        node = {
-            "polygon": [list(v) for v in polygon.vertices],
-            "pairs": pairs,
-        }
+        node = {"polygon": [list(v) for v in polygon.vertices], "pairs": pairs}
+        if visited is None:
+            visited = set()
+        key = (polygon.canonical_key(), pairs)
+        if key in visited:
+            node["repeat"] = True
+            return node
+        visited.add(key)
         try:
             rec = self.record(polygon, 0, pairs)
         except InvariantError as err:
@@ -210,17 +233,18 @@ class InvariantTable:
         else:
             node["value"] = rec.value.to_json_dict()
             node["extrapolated"] = rec.extrapolated
-        if pairs > 0:
-            corners = polygon.admissible_cut_corners()
-            if corners:
-                node["corner"] = list(corners[0])
-                node["children"] = [
-                    self.recursion_trace(polygon, pairs - 1),
-                    self.recursion_trace(polygon.corner_cut(corners[0]), pairs - 1),
-                ]
-            else:
-                node["corner"] = None
-                node["children"] = [self.recursion_trace(polygon, pairs - 1)]
+        if pairs == 0:
+            return node
+        try:
+            options = _pair_step(polygon)
+        except InvariantError:
+            return node
+        node["corner"] = None
+        node["children"] = [self.recursion_trace(polygon, pairs - 1, visited)]
+        if options:
+            corner, cut = options[0]
+            node["corner"] = list(corner)
+            node["children"].append(self.recursion_trace(cut, pairs - 1, visited))
         return node
 
     # -- cache ---------------------------------------------------------------

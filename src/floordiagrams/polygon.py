@@ -289,13 +289,12 @@ class HPolygon:
             rays.append(_primitive((dy, -dx)))
         return tuple(rays)
 
-    def negative_edges(self) -> tuple[int, ...]:
-        """Indices of edges whose toric divisor has negative self-intersection.
+    def self_intersections(self) -> tuple[int | None, ...]:
+        """Self-intersection of each edge's toric divisor, in boundary order.
 
         On a smooth patch the normals of the neighbouring edges satisfy
-        prev + next = -(D.D) * ray, so a negative divisor shows up as a
-        positive integer multiple.  Edges with a non-unimodular endpoint have
-        no integer self-intersection and are never reported.
+        prev + next = -(D.D) * ray.  An edge with a non-unimodular endpoint
+        has no integer self-intersection and reads None.
         """
         rays = self.edge_rays()
         n = len(rays)
@@ -303,15 +302,18 @@ class HPolygon:
         for i in range(n):
             prv, cur, nxt = rays[i - 1], rays[i], rays[(i + 1) % n]
             if _det(prv, cur) != 1 or _det(cur, nxt) != 1:
+                out.append(None)
                 continue
-            total = (prv[0] + nxt[0], prv[1] + nxt[1])
+            # both cones unimodular: prev + next is an integer multiple of cur
             coord = 0 if cur[0] else 1
-            if total[coord] % cur[coord]:
-                continue
-            mult = total[coord] // cur[coord]
-            if (mult * cur[0], mult * cur[1]) == total and mult >= 1:
-                out.append(i)
+            out.append(-(prv[coord] + nxt[coord]) // cur[coord])
         return tuple(out)
+
+    def negative_edges(self) -> tuple[int, ...]:
+        """Indices of edges whose toric divisor has negative self-intersection."""
+        return tuple(
+            i for i, d in enumerate(self.self_intersections()) if d is not None and d < 0
+        )
 
     def corner_directions(self, corner):
         """Primitive directions along both edges leaving a vertex, with lattice lengths."""
@@ -364,7 +366,8 @@ class HPolygon:
         if len(cleaned) < 3 or _signed_area2(cleaned) == 0:
             return DEGENERATE
         result = HPolygon(pts)
-        assert result.area2 == self.area2 - 4
+        if result.area2 != self.area2 - 4:
+            raise PolygonError("corner cut did not remove a triangle of area 2")
         return result
 
     def admissible_cut_corners(self) -> tuple[tuple[int, int], ...]:
@@ -400,28 +403,8 @@ class HPolygon:
         points: at most five rays, unimodular cones, and no divisor of
         self-intersection below -1.
         """
-        rays = []
-        for p, q in self.edges():
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            rays.append(_primitive((dy, -dx)))
-        n = len(rays)
-        if n > 5:
-            return False
-        for i in range(n):
-            if _det(rays[i], rays[(i + 1) % n]) != 1:
-                return False
-        for i in range(n):
-            prev_plus_next = (
-                rays[i - 1][0] + rays[(i + 1) % n][0],
-                rays[i - 1][1] + rays[(i + 1) % n][1],
-            )
-            # smooth fan: prev + next is an integer multiple of the middle ray
-            ray = rays[i]
-            coord = 0 if ray[0] else 1
-            self_int = -prev_plus_next[coord] // ray[coord]
-            if self_int < -1:
-                return False
-        return True
+        degrees = self.self_intersections()
+        return len(degrees) <= 5 and all(d is not None and d >= -1 for d in degrees)
 
     # -- serialization and plumbing ------------------------------------------
 

@@ -3,8 +3,8 @@
 The coefficient u(m, k) = (-1)^k (C(m+k, m) + C(m+k-1, m)) rewrites counts on
 a surface carrying a (-2)-sphere S against counts on the surface where S has
 been smoothed away: classes d - 2E on a blow-up expand through classes
-d - k E', and summing a row of u's against a table of numbers is what both
-transforms below do.
+d - k E', and summing a row of u's against a table of numbers is what the
+sphere transform and the quadric expansion below do.
 """
 
 from __future__ import annotations
@@ -158,48 +158,6 @@ def _support_shifts(table, d, sphere):
         if all(key[i] == d[i] - k * sphere[i] for i in range(len(d))):
             hits.add(k)
     return sorted(hits)
-
-
-def gamma_transform(values, lattice, exceptional, d) -> LaurentPoly:
-    """Expansion of a blown-up double-point class through u coefficients.
-
-    values maps classes c on the blow-up(s) to Laurent polynomials; the result
-    is sum over k >= 0 (one k per exceptional class E) of
-    prod u(d.E, k) * values[d - sum k E].  The exceptional classes must be
-    orthogonal (-2)-classes here: these are the proper transforms E - E'
-    of double-point branches, not single (-1)-curves.
-    """
-    d = lattice._check(d)
-    spheres = [lattice.require_sphere(e) for e in exceptional]
-    for i in range(len(spheres)):
-        for j in range(i + 1, len(spheres)):
-            if lattice.pairing(spheres[i], spheres[j]) != 0:
-                raise SurgeryError("exceptional classes must be orthogonal")
-    total = LaurentPoly.zero()
-    for c, val in values.items():
-        c = lattice._check(c)
-        diff = tuple(d[i] - c[i] for i in range(lattice.rank))
-        ks = []
-        ok = True
-        for s in spheres:
-            num = lattice.pairing(diff, s)
-            if num % 2:
-                ok = False
-                break
-            ks.append(-num // 2)
-        if not ok or any(k < 0 for k in ks):
-            continue
-        recon = tuple(
-            sum(ks[a] * spheres[a][i] for a in range(len(spheres)))
-            for i in range(lattice.rank)
-        )
-        if recon != diff:
-            continue
-        coeff = 1
-        for s, k in zip(spheres, ks):
-            coeff *= u_coeff(lattice.pairing(d, s), k)
-        total = total + coeff * val
-    return total
 
 
 # -- identity checks ---------------------------------------------------------

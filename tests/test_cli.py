@@ -113,6 +113,19 @@ def test_compute_stuck_reports_trace(capsys):
     assert trace["children"]
 
 
+def test_compute_stuck_writes_only_the_requested_cache(capsys, tmp_path, monkeypatch):
+    env_cache = tmp_path / "env.jsonl"
+    monkeypatch.setenv(CACHE_ENV_VAR, str(env_cache))
+    code, _, err = run(
+        capsys,
+        "--cache", str(tmp_path / "flag.jsonl"),
+        "compute", "--polygon", "rect:3,3", "--pairs", "3",
+    )
+    assert code == 2
+    assert "pair recursion is stuck" in err
+    assert not env_cache.exists()
+
+
 def test_appendix_full(capsys):
     code, out, _ = run(capsys, "appendix")
     assert code == 1

@@ -109,6 +109,26 @@ def test_recursion_trace_stuck(table):
     )
 
 
+def test_recursion_trace_expands_each_pair_once(table):
+    trace = table.recursion_trace(HPolygon.p2_triangle(5), 7)
+    assert trace["pairs"] == 7 and "error" in trace
+    seen, repeats = [], []
+    stack = [trace]
+    while stack:
+        node = stack.pop()
+        if node["polygon"] == "degenerate":
+            continue
+        key = (HPolygon(node["polygon"]).canonical_key(), node["pairs"])
+        if node.get("repeat"):
+            assert "children" not in node
+            repeats.append(key)
+        else:
+            seen.append(key)
+        stack.extend(node.get("children", ()))
+    assert len(seen) == len(set(seen))
+    assert repeats and set(repeats) <= set(seen)
+
+
 def test_extrapolated_flags(table):
     expectations = [
         ("rect:2,2", 1, False),

@@ -136,6 +136,14 @@ def test_negative_edges():
     assert len(pent.negative_edges()) == 2
 
 
+def test_self_intersections():
+    assert HPolygon.p2_triangle(2).self_intersections() == (1, 1, 1)
+    assert HPolygon.rectangle(3, 3).self_intersections() == (0, 0, 0, 0)
+    assert HPolygon.sigma2_trapezoid(2, 2).self_intersections() == (2, 0, -2, 0)
+    # the even triangle's apex cone is singular: its two edges read None
+    assert HPolygon.sigma2_trapezoid(2, 0).self_intersections() == (2, None, None)
+
+
 def test_corner_cut_square():
     sq = HPolygon.rectangle(2, 2)
     assert sq.admissible_cut_corners() == sq.vertices

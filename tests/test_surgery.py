@@ -13,7 +13,6 @@ from floordiagrams.surgery import (
     check_increase,
     check_mainproof_coeffs,
     check_u_inversion,
-    gamma_transform,
     lagrangian_transform,
     mainproof_coeff,
     mainproof_sum,
@@ -119,20 +118,6 @@ def test_check_increase():
     report = check_increase(bad, QH_LATTICE, QH_SPHERE)
     assert not report["passed"]
     assert report["failures"][0]["class"] == [2, 2]
-
-
-def test_gamma_transform():
-    p = LaurentPoly({0: 7})
-    q = LaurentPoly({0: 3})
-    values = {(2, 2): p, (3, 1): q}
-    # d.S = 0 here, so weights are u(0, k): 1, -2, ...
-    out = gamma_transform(values, QH_LATTICE, [QH_SPHERE], (2, 2))
-    assert out == p + (-2) * q
-    # classes not reachable by subtracting sphere multiples are skipped
-    out = gamma_transform({(1, 3): q}, QH_LATTICE, [QH_SPHERE], (2, 2))
-    assert out.is_zero
-    with pytest.raises(SurgeryError):
-        gamma_transform(values, QH_LATTICE, [(1, 1)], (2, 2))
 
 
 def test_quadric_rhs_terms():
