@@ -23,6 +23,7 @@ from .invariants import (
     CACHE_ENV_VAR,
     ENGINE_VERSION,
     InvariantError,
+    InvariantKey,
     InvariantTable,
     max_pairs,
 )
@@ -119,10 +120,10 @@ def run_compute(args) -> int:
     polygon, label = _load_polygon(args)
     genus_span = _parse_span(args.genus)
     pairs_span = _parse_span(args.pairs)
-    if max(pairs_span) > 0 and max(genus_span) > 0:
-        raise ValueError("conjugate pairs only refine genus 0")
     if args.list_diagrams and max(pairs_span) > 0:
         raise ValueError("--list-diagrams only applies to pairs = 0")
+    # refuse an inadmissible span before any record is computed or cached
+    InvariantKey.make(polygon, max(genus_span), max(pairs_span))
     table = InvariantTable(cache_path=args.cache)
     records = []
     for genus in genus_span:

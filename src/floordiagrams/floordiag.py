@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 from .laurent import LaurentPoly, quantum_integer
@@ -91,65 +92,39 @@ class FloorDiagram:
 
     def marking_count(self) -> int:
         """Number of markings: linear extensions of the diagram order, divided
-        by the automorphisms permuting identical elevators and identical ends."""
+        by the automorphisms permuting identical elevators and identical ends.
+
+        Every relation involves a floor and the floors form a chain, so an
+        extension is the floors in order with every other element in one gap
+        of its range; gap k lies just above floor k, for k = 0..h.  The range
+        is i..j-1 for an elevator (i, j), 0..f-1 for a bottom end and f..h for
+        a top end at floor f.  A walk up the gaps, memoized on the gap and the
+        waiting elements counted by last gap, places one waiting element or
+        steps past the next floor once none must go before it.
+        """
         h = self.floors
-        n = self.element_count()
-        direct = [0] * n
-        # elements: floors 0..h-1, then elevators, then bottom ends, then top ends
-        for f in range(1, h):
-            direct[f] |= 1 << (f - 1)
-        idx = h
-        for i, j, _ in self.elevators:
-            direct[idx] |= 1 << (i - 1)
-            direct[j - 1] |= 1 << idx
-            idx += 1
+        # opens[k][m]: elements whose range is gaps k..m
+        opens = [[0] * (h + 1) for _ in range(h + 1)]
         for f, count in enumerate(self.bottom_ends):
-            for _ in range(count):
-                direct[f] |= 1 << idx
-                idx += 1
-        for f, count in enumerate(self.top_ends):
-            for _ in range(count):
-                direct[idx] |= 1 << f
-                idx += 1
-        closure = list(direct)
-        changed = True
-        while changed:
-            changed = False
-            for e in range(n):
-                mask = closure[e]
-                acc = mask
-                m = mask
-                while m:
-                    low = m & -m
-                    acc |= closure[low.bit_length() - 1]
-                    m ^= low
-                if acc != mask:
-                    closure[e] = acc
-                    changed = True
+            opens[0][f] += count
+        for f, count in enumerate(self.top_ends, start=1):
+            opens[f][h] += count
+        for i, j, _ in self.elevators:
+            opens[i][j - 1] += 1
 
-        memo = {0: 1}
-
-        def extensions(s: int) -> int:
-            try:
-                return memo[s]
-            except KeyError:
-                pass
-            blocked = 0
-            m = s
-            while m:
-                low = m & -m
-                blocked |= closure[low.bit_length() - 1]
-                m ^= low
+        @cache
+        def walk(k: int, waiting: tuple[int, ...]) -> int:
+            if k == h and not any(waiting):
+                return 1
             total = 0
-            m = s & ~blocked
-            while m:
-                low = m & -m
-                total += extensions(s ^ low)
-                m ^= low
-            memo[s] = total
+            for m, c in enumerate(waiting):
+                if c:
+                    total += c * walk(k, waiting[:m] + (c - 1,) + waiting[m + 1 :])
+            if k < h and not waiting[k]:
+                total += walk(k + 1, tuple(a + b for a, b in zip(waiting, opens[k + 1])))
             return total
 
-        count = extensions((1 << n) - 1)
+        count = walk(0, tuple(opens[0]))
         q, r = divmod(count, self.automorphism_size())
         if r:
             raise DiagramError(

@@ -63,10 +63,10 @@ def _pair_step(polygon) -> tuple:
     correction term is an empty count.  Raises when no corner admits the cut
     but the class is nonempty.
     """
-    corners = polygon.admissible_cut_corners()
-    if not corners and polygon.interior_lattice_count() > 0:
+    options = polygon.admissible_cuts()
+    if not options and polygon.interior_lattice_count() > 0:
         raise _stuck_error(polygon)
-    return tuple((corner, polygon.corner_cut(corner)) for corner in corners)
+    return options
 
 
 def max_pairs(polygon) -> int:
@@ -103,6 +103,28 @@ class InvariantKey:
 class InvariantRecord:
     value: LaurentPoly
     extrapolated: bool
+
+
+def _parse_cache_line(line: str):
+    """(key, record) stored on one cache line, or None for another engine version."""
+    entry = json.loads(line)
+    if not isinstance(entry, dict):
+        raise ValueError("not a JSON object")
+    if entry.get("engine") != ENGINE_VERSION:
+        return None
+    fields = ("polygon", "genus", "pairs", "coeffs", "extrapolated")
+    missing = [field for field in fields if field not in entry]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    if entry["polygon"] == "degenerate":
+        key_poly = "degenerate"
+    else:
+        key_poly = tuple(tuple(v) for v in entry["polygon"])
+    key = InvariantKey(key_poly, entry["genus"], entry["pairs"])
+    rec = InvariantRecord(
+        LaurentPoly.from_json_dict(entry["coeffs"]), bool(entry["extrapolated"])
+    )
+    return key, rec
 
 
 class InvariantTable:
@@ -252,23 +274,20 @@ class InvariantTable:
     def _load_cache(self):
         loaded: dict[InvariantKey, InvariantRecord] = {}
         with open(self._cache_path, encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                entry = json.loads(line)
-                if entry.get("engine") != ENGINE_VERSION:
+                try:
+                    parsed = _parse_cache_line(line)
+                except (ValueError, TypeError, AttributeError) as err:
+                    raise InvariantError(
+                        f"malformed cache line {number} of {self._cache_path}: {err}"
+                    ) from None
+                if parsed is None:
                     self._stale_cache_lines += 1
                     continue
-                if entry["polygon"] == "degenerate":
-                    key_poly = "degenerate"
-                else:
-                    key_poly = tuple(tuple(v) for v in entry["polygon"])
-                key = InvariantKey(key_poly, entry["genus"], entry["pairs"])
-                rec = InvariantRecord(
-                    LaurentPoly.from_json_dict(entry["coeffs"]),
-                    bool(entry["extrapolated"]),
-                )
+                key, rec = parsed
                 if key in loaded and loaded[key].value != rec.value:
                     raise InvariantError(f"conflicting cache entries for {key}")
                 loaded[key] = rec

@@ -370,16 +370,19 @@ class HPolygon:
             raise PolygonError("corner cut did not remove a triangle of area 2")
         return result
 
-    def admissible_cut_corners(self) -> tuple[tuple[int, int], ...]:
-        """Vertices where corner_cut succeeds (possibly with degenerate result)."""
+    def admissible_cuts(self) -> tuple:
+        """(corner, cut polygon) for every vertex where corner_cut succeeds."""
         good = []
         for v in self._vertices:
             try:
-                self.corner_cut(v)
+                good.append((v, self.corner_cut(v)))
             except PolygonError:
                 continue
-            good.append(v)
         return tuple(good)
+
+    def admissible_cut_corners(self) -> tuple[tuple[int, int], ...]:
+        """Vertices where corner_cut succeeds (possibly with degenerate result)."""
+        return tuple(corner for corner, _ in self.admissible_cuts())
 
     def has_room_for_cut(self) -> bool:
         """True when some unimodular corner has both edge lengths >= 2.

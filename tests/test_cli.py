@@ -90,7 +90,6 @@ def test_compute_usage_errors(capsys, tmp_path):
         ("compute", "--polygon", "rect:2,2", "--genus", "2..1"),
         ("compute", "--polygon", "rect:2,2", "--genus", "1", "--pairs", "1"),
         ("compute", "--polygon", "rect:2,2", "--pairs", "1", "--list-diagrams"),
-        ("compute", "--polygon", "rect:2,2", "--pairs", "9"),
     ]
     spec = tmp_path / "poly.json"
     spec.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
@@ -99,6 +98,17 @@ def test_compute_usage_errors(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error:" in err
+    # an out-of-range pair count is refused before any record: no trace, no cache line
+    cache = tmp_path / "cache.jsonl"
+    for argv in (
+        ("compute", "--polygon", "rect:2,2", "--pairs", "9"),
+        ("--cache", str(cache), "compute", "--polygon", "rect:2,2", "--pairs", "0..9"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.splitlines() == [err.rstrip("\n")], argv
+        assert "exceeds half the point count" in err
+    assert not cache.exists()
 
 
 def test_compute_stuck_reports_trace(capsys):
@@ -224,6 +234,34 @@ def test_cache_cli_flow(capsys, tmp_path):
     import os
 
     assert not os.path.exists(path)
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        '{"engine": "0.1.0", "polygon": [[0, 0], [1',
+        '{"engine": "0.1.0", "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]], "genus": 0}\n',
+        '[1, 2, 3]\n',
+    ],
+    ids=["torn-last-line", "missing-field", "not-an-object"],
+)
+def test_cache_malformed_line(capsys, tmp_path, bad_line):
+    path = tmp_path / "cache.jsonl"
+    code, _, _ = run(capsys, "--cache", str(path), "compute", "--polygon", "rect:1,2")
+    assert code == 0
+    with path.open("a") as fh:
+        fh.write(bad_line)
+    where = f"line 2 of {path}"
+    for argv in (("compute", "--polygon", "rect:1,2"), ("cache", "stats")):
+        code, out, err = run(capsys, "--cache", str(path), *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: malformed cache") and where in err, argv
+        assert len(err.splitlines()) == 1
+    code, out, _ = run(capsys, "--cache", str(path), "cache", "verify")
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False and where in report["error"]
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

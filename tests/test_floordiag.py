@@ -1,6 +1,8 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floordiagrams.floordiag import (
     DiagramError,
@@ -82,6 +84,34 @@ def test_marking_count_against_brute_force():
                     assert dia.marking_count() == brute_force_markings(dia)
                     checked += 1
     assert checked >= 8
+
+
+@st.composite
+def small_diagrams(draw):
+    """Floor diagrams, connected or not, with at most 7 elements and at most
+    2 bottom and 2 top ends per floor."""
+    floors = draw(st.integers(1, 4))
+    budget = 7 - floors
+    ends = []
+    for _ in range(2 * floors):
+        count = draw(st.integers(0, min(2, budget)))
+        budget -= count
+        ends.append(count)
+    elevators = []
+    if floors > 1:
+        for _ in range(draw(st.integers(0, budget))):
+            i = draw(st.integers(1, floors - 1))
+            j = draw(st.integers(i + 1, floors))
+            elevators.append((i, j, draw(st.integers(1, 2))))
+    return FloorDiagram(
+        floors, tuple(sorted(elevators)), tuple(ends[:floors]), tuple(ends[floors:])
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_diagrams())
+def test_marking_count_matches_brute_force_on_random_diagrams(dia):
+    assert dia.marking_count() == brute_force_markings(dia)
 
 
 def test_divergence_sequences():

@@ -170,6 +170,9 @@ def test_corner_cut_rejects_negative_divisor_corners():
     with pytest.raises(PolygonError, match="negative self-intersection"):
         trap.corner_cut((2, 2))
     assert trap.admissible_cut_corners() == ((2, 0), (6, 0))
+    assert trap.admissible_cuts() == tuple(
+        (corner, trap.corner_cut(corner)) for corner in ((2, 0), (6, 0))
+    )
 
 
 def test_corner_cut_rejects_non_unimodular_corner():
