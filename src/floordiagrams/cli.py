@@ -31,15 +31,6 @@ from .laurent import LaurentPoly
 from .polygon import HPolygon, PolygonError
 from . import surgery
 
-IDENTITIES = (
-    "u-inversion",
-    "main-proof",
-    "conj-quadric",
-    "symmetry",
-    "monotone-s",
-    "cut-independence",
-)
-
 # engine-reachable conjecture instances: (a, b, genus, pairs)
 CONJECTURE_INSTANCES = tuple(
     [(1, b, 0, 0) for b in range(6)]
@@ -144,20 +135,17 @@ def run_compute(args) -> int:
             }
             if args.list_diagrams:
                 entry["diagrams"] = _diagram_payload(polygon, genus)
-            records.append(entry)
-    payload = {"engine": ENGINE_VERSION, "results": records}
+            records.append((entry, rec.value))
     if args.emit == "json":
+        payload = {"engine": ENGINE_VERSION, "results": [entry for entry, _ in records]}
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.emit == "csv":
         print("polygon,genus,s,exponent,coefficient")
-        for entry in records:
-            for exp, coeff in sorted(
-                entry["invariant"].items(), key=lambda kv: int(kv[0])
-            ):
+        for entry, _ in records:
+            for exp, coeff in entry["invariant"].items():
                 print(f"{entry['polygon']},{entry['genus']},{entry['pairs']},{exp},{coeff}")
     else:
-        for entry in records:
-            value = LaurentPoly.from_json_dict(entry["invariant"])
+        for entry, value in records:
             flag = "  [extrapolated]" if entry["extrapolated"] else ""
             print(f"{entry['polygon']} g={entry['genus']} s={entry['pairs']}: {value}{flag}")
             for dia in entry.get("diagrams", ()):
@@ -171,44 +159,31 @@ def run_compute(args) -> int:
     return 0
 
 
-def run_appendix(args) -> int:
-    rows = reference_rows(args.fixtures)
-    if args.genus_only:
-        rows = tuple(r for r in rows if r.pairs == 0)
-    table = InvariantTable(cache_path=args.cache)
-    computed = []
+def _replay(table, rows, emit: str) -> int:
+    """Replay golden rows against table, print the report, return its exit code."""
+    report = []
     for row in rows:
+        entry = {"row": row.label(), "expected": row.value.to_json_dict()}
         try:
             rec = table.record(row.polygon(), row.genus, row.pairs)
         except InvariantError as err:
-            computed.append({"error": str(err)})
-        else:
-            computed.append(
-                {"coeffs": rec.value.to_json_dict(), "extrapolated": rec.extrapolated}
-            )
-    report = []
-    for row, cell in sorted(zip(rows, computed), key=lambda rc: rc[0].label()):
-        entry = {"row": row.label(), "expected": row.value.to_json_dict()}
-        if "error" in cell:
             entry["status"] = "stuck"
-            entry["error"] = cell["error"]
+            entry["error"] = str(err)
         else:
-            got = LaurentPoly.from_json_dict(cell["coeffs"])
-            entry["computed"] = cell["coeffs"]
-            entry["extrapolated"] = cell["extrapolated"]
-            if got == row.value:
+            want = entry["expected"]
+            have = entry["computed"] = rec.value.to_json_dict()
+            entry["extrapolated"] = rec.extrapolated
+            if rec.value == row.value:
                 entry["status"] = "match"
             else:
                 entry["status"] = "mismatch"
-                diff = {}
-                exponents = set(got.to_json_dict()) | set(row.value.to_json_dict())
-                for exp in sorted(exponents, key=int):
-                    want = row.value.to_json_dict().get(exp, 0)
-                    have = cell["coeffs"].get(exp, 0)
-                    if want != have:
-                        diff[exp] = {"expected": want, "computed": have}
-                entry["diff"] = diff
+                entry["diff"] = {
+                    exp: {"expected": want.get(exp, 0), "computed": have.get(exp, 0)}
+                    for exp in sorted(want.keys() | have.keys(), key=int)
+                    if want.get(exp, 0) != have.get(exp, 0)
+                }
         report.append(entry)
+    report.sort(key=lambda entry: entry["row"])
     bad = [e for e in report if e["status"] != "match"]
     payload = {
         "engine": ENGINE_VERSION,
@@ -217,7 +192,7 @@ def run_appendix(args) -> int:
         "total": len(report),
         "passed": not bad,
     }
-    if args.emit == "json":
+    if emit == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for entry in report:
@@ -234,7 +209,14 @@ def run_appendix(args) -> int:
     return 0 if payload["passed"] else 1
 
 
-def _check_symmetry(table) -> dict:
+def run_appendix(args) -> int:
+    rows = reference_rows(args.fixtures)
+    if args.genus_only:
+        rows = tuple(r for r in rows if r.pairs == 0)
+    return _replay(InvariantTable(cache_path=args.cache), rows, args.emit)
+
+
+def _check_symmetry() -> dict:
     failures = []
     checked = 0
     for a, b in SYMMETRY_SHAPES:
@@ -329,43 +311,29 @@ def _check_conjecture(table) -> dict:
     }
 
 
+# name -> check(table, size); size bounds the index sweeps of the surgery identities
+IDENTITY_CHECKS = {
+    "u-inversion": lambda table, size: surgery.check_u_inversion(size, size),
+    "main-proof": lambda table, size: surgery.check_mainproof_coeffs(size),
+    "conj-quadric": lambda table, size: _check_conjecture(table),
+    "symmetry": lambda table, size: _check_symmetry(),
+    "monotone-s": lambda table, size: _check_monotone(table),
+    "cut-independence": lambda table, size: _check_independence(table),
+}
+IDENTITIES = tuple(IDENTITY_CHECKS)
+
+
 def run_verify(args) -> int:
     if args.suite:
-        if args.suite == "identities":
-            names = list(IDENTITIES)
-        elif args.suite == "appendix":
-            names = ["appendix"]
-        else:
-            names = list(IDENTITIES) + ["appendix"]
+        names = IDENTITIES if args.suite != "appendix" else ()
+        replay = args.suite != "identities"
     elif args.identity:
-        names = list(args.identity)
+        names, replay = args.identity, False
     else:
         raise ValueError("verify needs --identity or --suite")
     table = InvariantTable(cache_path=args.cache)
-    reports = []
-    appendix_exit = 0
-    for name in names:
-        if name == "u-inversion":
-            reports.append(surgery.check_u_inversion(args.max, args.max))
-        elif name == "main-proof":
-            reports.append(surgery.check_mainproof_coeffs(args.max))
-        elif name == "conj-quadric":
-            reports.append(_check_conjecture(table))
-        elif name == "symmetry":
-            reports.append(_check_symmetry(table))
-        elif name == "monotone-s":
-            reports.append(_check_monotone(table))
-        elif name == "cut-independence":
-            reports.append(_check_independence(table))
-        elif name == "appendix":
-            sub = argparse.Namespace(
-                fixtures=args.fixtures,
-                genus_only=False,
-                cache=args.cache,
-                emit="text" if args.emit == "text" else "json",
-            )
-            appendix_exit = max(appendix_exit, run_appendix(sub))
-            continue
+    reports = [IDENTITY_CHECKS[name](table, args.max) for name in names]
+    appendix_exit = _replay(table, reference_rows(args.fixtures), args.emit) if replay else 0
     payload = {
         "engine": ENGINE_VERSION,
         "reports": reports,

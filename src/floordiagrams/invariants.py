@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 from .floordiag import refined_invariant as _direct_invariant
 from .laurent import LaurentPoly
@@ -105,6 +106,9 @@ class InvariantRecord:
     extrapolated: bool
 
 
+_INT = frozenset((int,))
+
+
 def _parse_cache_line(line: str):
     """(key, record) stored on one cache line, or None for another engine version."""
     entry = json.loads(line)
@@ -116,14 +120,22 @@ def _parse_cache_line(line: str):
     missing = [field for field in fields if field not in entry]
     if missing:
         raise ValueError(f"missing {', '.join(missing)}")
+    # type checks only, in C-level calls because every request reloads the
+    # cache: a bool, a float or a string would compare equal to, or be
+    # coerced into, a valid field and serve a wrong answer
+    genus, pairs = entry["genus"], entry["pairs"]
+    if type(genus) is not int or type(pairs) is not int or genus < 0 or pairs < 0:
+        raise ValueError("genus and pairs must be integers >= 0")
+    if type(entry["extrapolated"]) is not bool:
+        raise ValueError("extrapolated must be true or false")
     if entry["polygon"] == "degenerate":
         key_poly = "degenerate"
     else:
-        key_poly = tuple(tuple(v) for v in entry["polygon"])
-    key = InvariantKey(key_poly, entry["genus"], entry["pairs"])
-    rec = InvariantRecord(
-        LaurentPoly.from_json_dict(entry["coeffs"]), bool(entry["extrapolated"])
-    )
+        key_poly = tuple(map(tuple, entry["polygon"]))
+        if not _INT.issuperset(map(type, chain.from_iterable(key_poly))):
+            raise ValueError("polygon coordinates must be integers")
+    key = InvariantKey(key_poly, genus, pairs)
+    rec = InvariantRecord(LaurentPoly.from_json_dict(entry["coeffs"]), entry["extrapolated"])
     return key, rec
 
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 
+_INT = frozenset((int,))
+
+
 class LaurentError(ValueError):
     pass
 
@@ -175,7 +178,11 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, int]) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in data.items()})
+        """Inverse of to_json_dict; a coefficient that is not a JSON integer
+        (a float, a bool, a string) is an error, not truncated."""
+        if not _INT.issuperset(map(type, data.values())):
+            raise LaurentError("coefficients must be integers")
+        return cls({int(e): c for e, c in data.items()})
 
     # -- dunder plumbing ----------------------------------------------------
 

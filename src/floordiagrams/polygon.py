@@ -194,7 +194,14 @@ class HPolygon:
 
     @classmethod
     def from_json_dict(cls, data) -> "HPolygon":
-        return cls(data["vertices"])
+        """Parse {"vertices": [[x, y], ...]}; coordinates must be JSON integers."""
+        vertices = data.get("vertices") if isinstance(data, dict) else None
+        if not isinstance(vertices, list):
+            raise PolygonError('polygon JSON must be an object with a "vertices" list')
+        for v in vertices:
+            if not (isinstance(v, list) and len(v) == 2 and all(type(c) is int for c in v)):
+                raise PolygonError(f"vertex {v!r} is not a pair of integers")
+        return cls(vertices)
 
     # -- basic geometry ---------------------------------------------------
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from floordiagrams import cli
-from floordiagrams.invariants import CACHE_ENV_VAR
+from floordiagrams.invariants import CACHE_ENV_VAR, InvariantTable
 
 
 def run(capsys, *argv):
@@ -98,6 +98,21 @@ def test_compute_usage_errors(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error:" in err
+    # a malformed polygon file is named in one stderr line, never truncated to ints
+    for data, problem in (
+        ({"corners": [[0, 0], [1, 0], [0, 1]]}, '"vertices" list'),
+        ([[0, 0], [1, 0], [0, 1]], '"vertices" list'),
+        ({"vertices": 5}, '"vertices" list'),
+        ({"vertices": [[0, 0], [2.7, 0], [0, 2.9]]}, "vertex [2.7, 0]"),
+        ({"vertices": [[0, 0], [True, 0], [0, 1]]}, "vertex [True, 0]"),
+        ({"vertices": [[0, 0], [1, 0, 0], [0, 1]]}, "vertex [1, 0, 0]"),
+    ):
+        spec.write_text(json.dumps(data))
+        code, out, err = run(capsys, "compute", "--polygon-file", str(spec))
+        assert code == 2, data
+        assert out == ""
+        assert err.startswith("error: ") and problem in err, data
+        assert len(err.splitlines()) == 1, data
     # an out-of-range pair count is refused before any record: no trace, no cache line
     cache = tmp_path / "cache.jsonl"
     for argv in (
@@ -193,6 +208,36 @@ def test_verify_identity_suite(capsys):
     assert "3 skipped" in out
 
 
+def test_verify_all_builds_one_table(capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    counts = {"tables": 0, "computed": 0}
+    init, compute = InvariantTable.__init__, InvariantTable._compute
+
+    def counting_init(self, *args, **kwargs):
+        counts["tables"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_compute(self, *args, **kwargs):
+        counts["computed"] += 1
+        return compute(self, *args, **kwargs)
+
+    monkeypatch.setattr(InvariantTable, "__init__", counting_init)
+    monkeypatch.setattr(InvariantTable, "_compute", counting_compute)
+    code, _, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 1
+    assert counts["tables"] == 1
+    assert counts["computed"] <= 172
+
+
+def test_verify_all_prints_appendix_then_identities(capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 1
+    _, appendix_out, _ = run(capsys, "appendix")
+    _, identities_out, _ = run(capsys, "verify", "--suite", "identities")
+    assert out == appendix_out + identities_out
+
+
 def test_verify_json(capsys):
     code, out, _ = run(
         capsys, "verify", "--identity", "u-inversion", "--emit", "json", "--max", "6"
@@ -242,8 +287,27 @@ def test_cache_cli_flow(capsys, tmp_path):
         '{"engine": "0.1.0", "polygon": [[0, 0], [1',
         '{"engine": "0.1.0", "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]], "genus": 0}\n',
         '[1, 2, 3]\n',
+        '{"engine": "0.1.0", "polygon": [[0, 0], [2, 0], [2, 2], [0, 2]], "genus": true, '
+        '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": "no"}\n',
+        '{"engine": "0.1.0", "polygon": [[0, 0], [2, 0], [2, 2], [0, 2]], "genus": 1, '
+        '"pairs": 0, "coeffs": {"0": 7.9}, "extrapolated": false}\n',
+        '{"engine": "0.1.0", "polygon": [[0, 0], [2, 0], [2, 2], [0, 2]], "genus": 0, '
+        '"pairs": -1, "coeffs": {"0": 1}, "extrapolated": false}\n',
+        '{"engine": "0.1.0", "polygon": [[0, 0], [2, 0], [2, 2], [0, 2]], "genus": 1, '
+        '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": 0}\n',
+        '{"engine": "0.1.0", "polygon": [[0, 0], [2.0, 0], [2, 2], [0, 2]], "genus": 1, '
+        '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": false}\n',
     ],
-    ids=["torn-last-line", "missing-field", "not-an-object"],
+    ids=[
+        "torn-last-line",
+        "missing-field",
+        "not-an-object",
+        "bool-genus",
+        "float-coefficient",
+        "negative-pairs",
+        "int-extrapolated",
+        "float-vertex",
+    ],
 )
 def test_cache_malformed_line(capsys, tmp_path, bad_line):
     path = tmp_path / "cache.jsonl"

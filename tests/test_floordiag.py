@@ -1,5 +1,3 @@
-from itertools import permutations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +14,11 @@ from floordiagrams.polygon import HPolygon
 
 
 def brute_force_markings(dia: FloorDiagram) -> int:
-    """Count linear extensions by trying every permutation, then divide out
-    relabelings of identical elevators and identical ends."""
+    """Count linear extensions of the explicit element and relation list, then
+    divide out relabelings of identical elevators and identical ends.
+
+    The count is a DP over the set of placed elements: an element may be
+    placed next once all its predecessors are placed."""
     elements = [("F", k) for k in range(1, dia.floors + 1)]
     relations = [(("F", k), ("F", k + 1)) for k in range(1, dia.floors)]
     for idx, (i, j, w) in enumerate(dia.elevators):
@@ -35,12 +36,19 @@ def brute_force_markings(dia: FloorDiagram) -> int:
             t = ("T", f, c)
             elements.append(t)
             relations.append((("F", f), t))
-    total = 0
-    for perm in permutations(elements):
-        pos = {e: i for i, e in enumerate(perm)}
-        if all(pos[a] < pos[b] for a, b in relations):
-            total += 1
-    q, r = divmod(total, dia.automorphism_size())
+    index = {e: i for i, e in enumerate(elements)}
+    preds = [0] * len(elements)
+    for a, b in relations:
+        preds[index[b]] |= 1 << index[a]
+    ways = [0] * (1 << len(elements))
+    ways[0] = 1
+    for placed, count in enumerate(ways):
+        if not count:
+            continue
+        for i, need in enumerate(preds):
+            if not placed >> i & 1 and need & placed == need:
+                ways[placed | 1 << i] += count
+    q, r = divmod(ways[-1], dia.automorphism_size())
     assert r == 0
     return q
 

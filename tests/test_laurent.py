@@ -20,6 +20,10 @@ def test_construction_rejects_non_ints():
         LaurentPoly({0.5: 1})
     with pytest.raises(LaurentError):
         LaurentPoly({0: 1.5})
+    # JSON coefficients are checked, not truncated by int()
+    for coeff in (7.9, 7.0, True, "7"):
+        with pytest.raises(LaurentError):
+            LaurentPoly.from_json_dict({"0": coeff})
 
 
 def test_zero_and_one():
