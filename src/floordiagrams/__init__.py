@@ -13,14 +13,11 @@ from .invariants import (
     max_pairs,
 )
 from .surgery import (
-    ClassLattice,
-    NumberTable,
     SurgeryError,
     check_conjecture_quadric,
     check_increase,
     check_mainproof_coeffs,
     check_u_inversion,
-    lagrangian_transform,
     u_coeff,
 )
 
@@ -30,7 +27,6 @@ __all__ = [
     "CACHE_ENV_VAR",
     "DEGENERATE",
     "ENGINE_VERSION",
-    "ClassLattice",
     "DiagramError",
     "FloorDiagram",
     "FloorProfile",
@@ -41,7 +37,6 @@ __all__ = [
     "InvariantTable",
     "LaurentError",
     "LaurentPoly",
-    "NumberTable",
     "PolygonError",
     "SurgeryError",
     "check_conjecture_quadric",
@@ -50,7 +45,6 @@ __all__ = [
     "check_u_inversion",
     "enumerate_diagrams",
     "is_degenerate",
-    "lagrangian_transform",
     "max_pairs",
     "quantum_integer",
     "refined_invariant",

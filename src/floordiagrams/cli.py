@@ -27,7 +27,6 @@ from .invariants import (
     InvariantTable,
     max_pairs,
 )
-from .laurent import LaurentPoly
 from .polygon import HPolygon, PolygonError
 from . import surgery
 
@@ -89,22 +88,17 @@ def _load_polygon(args):
     return poly, args.polygon_file
 
 
-def _diagram_payload(polygon, genus: int) -> list[dict]:
-    out = []
-    for dia in sorted(enumerate_diagrams(polygon, genus)):
-        out.append(
-            {
-                "floors": dia.floors,
-                "elevators": [list(e) for e in dia.elevators],
-                "bottom_ends": list(dia.bottom_ends),
-                "top_ends": list(dia.top_ends),
-                "divergences": list(dia.divergences),
-                "slope_orderings": dia.assignments,
-                "multiplicity": dia.refined_multiplicity().to_json_dict(),
-                "markings": dia.marking_count(),
-            }
-        )
-    return out
+def _diagram_payload(dia) -> dict:
+    return {
+        "floors": dia.floors,
+        "elevators": [list(e) for e in dia.elevators],
+        "bottom_ends": list(dia.bottom_ends),
+        "top_ends": list(dia.top_ends),
+        "divergences": list(dia.divergences),
+        "slope_orderings": dia.assignments,
+        "multiplicity": dia.refined_multiplicity().to_json_dict(),
+        "markings": dia.marking_count(),
+    }
 
 
 def run_compute(args) -> int:
@@ -133,28 +127,28 @@ def run_compute(args) -> int:
                 "invariant": rec.value.to_json_dict(),
                 "extrapolated": rec.extrapolated,
             }
-            if args.list_diagrams:
-                entry["diagrams"] = _diagram_payload(polygon, genus)
-            records.append((entry, rec.value))
+            diagrams = sorted(enumerate_diagrams(polygon, genus)) if args.list_diagrams else ()
+            if args.list_diagrams and args.emit == "json":
+                entry["diagrams"] = [_diagram_payload(dia) for dia in diagrams]
+            records.append((entry, rec.value, diagrams))
     if args.emit == "json":
-        payload = {"engine": ENGINE_VERSION, "results": [entry for entry, _ in records]}
+        payload = {"engine": ENGINE_VERSION, "results": [entry for entry, _, _ in records]}
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.emit == "csv":
         print("polygon,genus,s,exponent,coefficient")
-        for entry, _ in records:
+        for entry, _, _ in records:
             for exp, coeff in entry["invariant"].items():
                 print(f"{entry['polygon']},{entry['genus']},{entry['pairs']},{exp},{coeff}")
     else:
-        for entry, value in records:
+        for entry, value, diagrams in records:
             flag = "  [extrapolated]" if entry["extrapolated"] else ""
             print(f"{entry['polygon']} g={entry['genus']} s={entry['pairs']}: {value}{flag}")
-            for dia in entry.get("diagrams", ()):
-                mult = LaurentPoly.from_json_dict(dia["multiplicity"])
+            for dia in diagrams:
                 print(
-                    f"  elevators={dia['elevators']} "
-                    f"bottom={dia['bottom_ends']} top={dia['top_ends']} "
-                    f"div={dia['divergences']} multiplicity={mult} "
-                    f"markings={dia['markings']} orderings={dia['slope_orderings']}"
+                    f"  elevators={[list(e) for e in dia.elevators]} "
+                    f"bottom={list(dia.bottom_ends)} top={list(dia.top_ends)} "
+                    f"div={list(dia.divergences)} multiplicity={dia.refined_multiplicity()} "
+                    f"markings={dia.marking_count()} orderings={dia.assignments}"
                 )
     return 0
 
@@ -283,20 +277,9 @@ def _check_independence(table) -> dict:
 
 
 def _check_conjecture(table) -> dict:
-    instances = []
-    for a, b, genus, pairs in CONJECTURE_INSTANCES:
-        result = surgery.check_conjecture_quadric(table, a, b, genus, pairs)
-        instances.append(
-            {
-                "a": a,
-                "b": b,
-                "genus": genus,
-                "pairs": pairs,
-                "passed": result["passed"],
-                "lhs": result["lhs"],
-                "rhs": result["rhs"],
-            }
-        )
+    instances = [
+        surgery.check_conjecture_quadric(table, *instance) for instance in CONJECTURE_INSTANCES
+    ]
     skipped = [
         {"a": a, "b": b, "genus": g, "pairs": s, "reason": "pair recursion stuck"}
         for a, b, g, s in CONJECTURE_SKIPPED

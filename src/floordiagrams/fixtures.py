@@ -10,6 +10,7 @@ from .laurent import LaurentPoly
 from .polygon import HPolygon
 
 SURFACES = ("QH", "Sigma2")
+_FIELDS = ("surface", "a", "b", "genus", "pairs", "coeffs")
 
 
 @dataclass(frozen=True)
@@ -39,23 +40,40 @@ def _load(path: str | None = None) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+def _row(raw) -> ReferenceRow:
+    """One golden row from its JSON object; ValueError says what is wrong."""
+    if not isinstance(raw, dict):
+        raise ValueError("not a JSON object")
+    missing = [field for field in _FIELDS if field not in raw]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    if raw["surface"] not in SURFACES:
+        raise ValueError(f"unknown surface {raw['surface']!r}")
+    # a bool or a float would pass int() and replay another cell
+    a, b, genus, pairs = (raw[field] for field in _FIELDS[1:5])
+    if any(type(x) is not int for x in (a, b, genus, pairs)):
+        raise ValueError("a, b, genus and pairs must be integers")
+    least_b = 1 if raw["surface"] == "QH" else 0  # rect:a,0 has no area
+    if a < 1 or b < least_b or genus < 0 or pairs < 0:
+        raise ValueError(f"needs a >= 1, b >= {least_b}, genus >= 0 and pairs >= 0")
+    if not isinstance(raw["coeffs"], dict):
+        raise ValueError("coeffs must be a JSON object")
+    value = LaurentPoly.from_json_dict(raw["coeffs"])
+    return ReferenceRow(raw["surface"], a, b, genus, pairs, value)
+
+
 def reference_rows(path: str | None = None) -> tuple[ReferenceRow, ...]:
     """All golden rows, optionally from an alternative fixture file."""
     data = _load(path)
+    where = path if path is not None else "bundled tables"
+    if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
+        raise ValueError(f"{where}: expected a JSON object with a rows list")
     rows = []
-    for raw in data["rows"]:
-        if raw["surface"] not in SURFACES:
-            raise ValueError(f"unknown surface {raw['surface']!r}")
-        rows.append(
-            ReferenceRow(
-                surface=raw["surface"],
-                a=int(raw["a"]),
-                b=int(raw["b"]),
-                genus=int(raw["genus"]),
-                pairs=int(raw["pairs"]),
-                value=LaurentPoly.from_json_dict(raw["coeffs"]),
-            )
-        )
+    for number, raw in enumerate(data["rows"], start=1):
+        try:
+            rows.append(_row(raw))
+        except ValueError as err:
+            raise ValueError(f"malformed row {number} of {where}: {err}") from None
     return tuple(rows)
 
 

@@ -285,6 +285,7 @@ class InvariantTable:
 
     def _load_cache(self):
         loaded: dict[InvariantKey, InvariantRecord] = {}
+        polygons: dict[InvariantKey, HPolygon] = {}  # built only to verify
         with open(self._cache_path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
                 line = line.strip()
@@ -292,6 +293,8 @@ class InvariantTable:
                     continue
                 try:
                     parsed = _parse_cache_line(line)
+                    if self._verify_cache and parsed and parsed[0].polygon != "degenerate":
+                        polygons[parsed[0]] = HPolygon(parsed[0].polygon)
                 except (ValueError, TypeError, AttributeError) as err:
                     raise InvariantError(
                         f"malformed cache line {number} of {self._cache_path}: {err}"
@@ -305,10 +308,9 @@ class InvariantTable:
                 loaded[key] = rec
         if self._verify_cache:
             scratch = InvariantTable()
-            for key, rec in loaded.items():
-                if key.polygon == "degenerate":
-                    continue
-                fresh = scratch.record(HPolygon(key.polygon), key.genus, key.pairs)
+            for key, polygon in polygons.items():
+                rec = loaded[key]
+                fresh = scratch.record(polygon, key.genus, key.pairs)
                 if fresh.value != rec.value:
                     raise InvariantError(
                         f"cache verification failed for {key}: "

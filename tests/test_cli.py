@@ -3,7 +3,8 @@ import json
 import pytest
 
 from floordiagrams import cli
-from floordiagrams.invariants import CACHE_ENV_VAR, InvariantTable
+from floordiagrams.invariants import CACHE_ENV_VAR, ENGINE_VERSION, InvariantKey, InvariantTable
+from floordiagrams.polygon import HPolygon
 
 
 def run(capsys, *argv):
@@ -193,6 +194,52 @@ def test_appendix_alt_fixture_diff(capsys, tmp_path):
     assert bad["diff"] == {"0": {"expected": 11, "computed": 10}}
 
 
+GOOD_ROW = {"surface": "QH", "a": 2, "b": 2, "genus": 0, "pairs": 0, "coeffs": {"0": 10}}
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        {"rows": [{**GOOD_ROW, "a": 2.9}]},
+        {"rows": [{**GOOD_ROW, "pairs": True}]},
+        {"rows": [{**GOOD_ROW, "genus": -1}]},
+        {"rows": [{**GOOD_ROW, "a": 0}]},
+        {"rows": [GOOD_ROW, {**GOOD_ROW, "b": 0}]},
+        {"rows": [{k: v for k, v in GOOD_ROW.items() if k != "b"}]},
+        {"rows": [{**GOOD_ROW, "surface": "P2"}]},
+        {"rows": [{**GOOD_ROW, "coeffs": [10]}]},
+        {"rows": [{**GOOD_ROW, "coeffs": {"0": 10.0}}]},
+        {"rows": [[2, 2]]},
+        [GOOD_ROW],
+        {"rows": {"0": GOOD_ROW}},
+    ],
+    ids=[
+        "float-a",
+        "bool-pairs",
+        "negative-genus",
+        "zero-a",
+        "zero-b-rectangle",
+        "missing-field",
+        "unknown-surface",
+        "list-coeffs",
+        "float-coefficient",
+        "row-not-an-object",
+        "top-level-list",
+        "rows-not-a-list",
+    ],
+)
+def test_appendix_malformed_fixture(capsys, tmp_path, fixture):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(fixture))
+    code, out, err = run(capsys, "appendix", "--fixtures", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert len(err.splitlines()) == 1
+    if isinstance(fixture, dict) and isinstance(fixture["rows"], list):
+        assert f"malformed row {len(fixture['rows'])} of {path}" in err
+
+
 def test_verify_single_identities(capsys):
     for name in ("u-inversion", "main-proof"):
         code, out, _ = run(capsys, "verify", "--identity", name, "--max", "8")
@@ -248,6 +295,25 @@ def test_verify_json(capsys):
     assert payload["reports"][0]["identity"] == "u-inversion"
 
 
+def test_verify_conj_quadric_fails_on_a_wrong_cached_trapezoid(capsys, tmp_path):
+    # the trapezoid side of the instance (a, b) = (1, 0), g=0, s=0 is 1, not 2
+    key = InvariantKey.make(HPolygon.from_spec("sigma2:1,0"), 0, 0)
+    entry = {
+        "engine": ENGINE_VERSION,
+        "polygon": [list(v) for v in key.polygon],
+        "genus": key.genus,
+        "pairs": key.pairs,
+        "coeffs": {"0": 2},
+        "extrapolated": False,
+    }
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(entry) + "\n")
+    code, out, _ = run(capsys, "--cache", str(path), "verify", "--identity", "conj-quadric")
+    assert code == 1
+    assert "FAIL  conj-quadric" in out
+    assert "'a': 1, 'b': 0, 'genus': 0, 'pairs': 0, 'passed': False, 'lhs': {'0': 2}" in out
+
+
 def test_verify_needs_a_selection(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
@@ -281,6 +347,14 @@ def test_cache_cli_flow(capsys, tmp_path):
     assert not os.path.exists(path)
 
 
+GEOMETRY_LINES = (
+    '{"engine": "0.1.0", "polygon": [[0, 0, 0], [2, 0, 0], [2, 2, 0]], "genus": 0, '
+    '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": false}\n',
+    '{"engine": "0.1.0", "polygon": [[0, 0], [4, 0], [1, 1], [0, 4]], "genus": 0, '
+    '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": false}\n',
+)
+
+
 @pytest.mark.parametrize(
     "bad_line",
     [
@@ -297,6 +371,7 @@ def test_cache_cli_flow(capsys, tmp_path):
         '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": 0}\n',
         '{"engine": "0.1.0", "polygon": [[0, 0], [2.0, 0], [2, 2], [0, 2]], "genus": 1, '
         '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": false}\n',
+        *GEOMETRY_LINES,
     ],
     ids=[
         "torn-last-line",
@@ -307,6 +382,8 @@ def test_cache_cli_flow(capsys, tmp_path):
         "negative-pairs",
         "int-extrapolated",
         "float-vertex",
+        "three-coordinate-vertex",
+        "non-convex-polygon",
     ],
 )
 def test_cache_malformed_line(capsys, tmp_path, bad_line):
@@ -316,7 +393,10 @@ def test_cache_malformed_line(capsys, tmp_path, bad_line):
     with path.open("a") as fh:
         fh.write(bad_line)
     where = f"line 2 of {path}"
-    for argv in (("compute", "--polygon", "rect:1,2"), ("cache", "stats")):
+    requests = [("compute", "--polygon", "rect:1,2"), ("cache", "stats")]
+    if bad_line in GEOMETRY_LINES:
+        requests = []  # every request reloads the cache; only `cache verify` builds polygons
+    for argv in requests:
         code, out, err = run(capsys, "--cache", str(path), *argv)
         assert code == 2, argv
         assert out == ""

@@ -1,19 +1,12 @@
 import pytest
 
-from floordiagrams.laurent import LaurentPoly
-from floordiagrams.polygon import HPolygon
 from floordiagrams.surgery import (
-    QH_LATTICE,
-    QH_SPHERE,
-    ClassLattice,
-    NumberTable,
     SurgeryError,
     binom,
     check_conjecture_quadric,
     check_increase,
     check_mainproof_coeffs,
     check_u_inversion,
-    lagrangian_transform,
     mainproof_coeff,
     mainproof_sum,
     quadric_rhs_terms,
@@ -63,61 +56,27 @@ def test_mainproof_coefficients():
     assert report["failures"] == []
 
 
-def test_class_lattice():
-    with pytest.raises(SurgeryError):
-        ClassLattice(((0, 1), (1, 0), (0, 0)))
-    with pytest.raises(SurgeryError):
-        ClassLattice(((0, 1), (2, 0)))
-    lat = QH_LATTICE
-    assert lat.rank == 2
-    assert lat.pairing((2, 2), (1, 1)) == 4
-    assert lat.pairing(QH_SPHERE, QH_SPHERE) == -2
-    with pytest.raises(SurgeryError):
-        lat.require_sphere((1, 1))
-    assert lat.reflect(QH_SPHERE, (3, 1)) == (1, 3)
-    assert lat.reflect(QH_SPHERE, (2, 2)) == (2, 2)
-    with pytest.raises(SurgeryError):
-        lat.pairing((1, 2, 3), (1, 1))
-
-
-def test_number_table_missing_reads():
-    table = NumberTable({(1, 1): 5})
-    assert table[(1, 1)] == 5
-    assert (1, 1) in table and (2, 2) not in table
-    with pytest.warns(UserWarning, match="missing class"):
-        assert table[(2, 2)] == 0
-    assert table.missing_reads == [(2, 2)]
-    strict = NumberTable({(1, 1): 5}, strict=True)
-    with pytest.raises(SurgeryError, match="missing class"):
-        strict[(2, 2)]
-
-
-def test_lagrangian_transform_modes():
-    table = NumberTable({(2, 2): 1, (3, 1): 1})
-    assert lagrangian_transform(table, QH_LATTICE, QH_SPHERE, (2, 2)) == -1
-    full = lagrangian_transform(table, QH_LATTICE, QH_SPHERE, (2, 2), mode="full")
-    assert full == 0
-    # on a reflection-closed table the two modes agree
-    closed = NumberTable({(2, 2): 6, (3, 1): 1, (1, 3): 1})
-    folded = lagrangian_transform(closed, QH_LATTICE, QH_SPHERE, (2, 2))
-    assert folded == lagrangian_transform(
-        closed, QH_LATTICE, QH_SPHERE, (2, 2), mode="full"
-    )
-    assert folded == 4
-    with pytest.raises(SurgeryError):
-        lagrangian_transform(table, QH_LATTICE, QH_SPHERE, (2, 2), mode="sideways")
-    with pytest.raises(SurgeryError):
-        lagrangian_transform(table, QH_LATTICE, (1, 1), (2, 2))
+# the Lagrangian sphere class (-1, 1) of the quadric's bidegree lattice
+QH_SPHERE = (-1, 1)
 
 
 def test_check_increase():
-    good = NumberTable({(2, 2): 1, (3, 1): -1})
-    report = check_increase(good, QH_LATTICE, QH_SPHERE)
+    report = check_increase({(2, 2): 1, (3, 1): -1}, QH_SPHERE)
     assert report["passed"]
-    bad = NumberTable({(2, 2): 2, (3, 1): 1})
-    report = check_increase(bad, QH_LATTICE, QH_SPHERE)
+    report = check_increase({(2, 2): 2, (3, 1): 1}, QH_SPHERE)
     assert not report["passed"]
     assert report["failures"][0]["class"] == [2, 2]
+    # folded: values[d] + 2 sum_{k>=1} (-1)^k values[d - kS]
+    report = check_increase({(2, 2): 1, (3, 1): 1}, QH_SPHERE)
+    assert report["rows"][0] == {"class": [2, 2], "before": 1, "after": -1}
+    report = check_increase({(2, 2): 6, (3, 1): 1, (1, 3): 1}, QH_SPHERE)
+    assert [r["after"] for r in report["rows"]] == [-9, 4, 1]
+    # (3, 1) is missing from the middle of the range and counts as 0
+    report = check_increase({(2, 2): 5, (4, 0): 1}, QH_SPHERE)
+    assert report["rows"][0] == {"class": [2, 2], "before": 5, "after": 7}
+    assert report["passed"]
+    with pytest.raises(SurgeryError):
+        check_increase({(2, 2): 1}, (0, 0))
 
 
 def test_quadric_rhs_terms():
@@ -152,11 +111,3 @@ def test_conjecture_pair_instances(table):
     assert report["passed"]
     with pytest.raises(SurgeryError, match="genus 0"):
         check_conjecture_quadric(table, 2, 2, 1, pairs=1)
-
-
-def test_conjecture_reference_lhs(table):
-    # a deliberately wrong reference value must fail the comparison
-    report = check_conjecture_quadric(table, 1, 0, 0, lhs=LaurentPoly({0: 2}))
-    assert not report["passed"]
-    report = check_conjecture_quadric(table, 1, 0, 0, lhs=LaurentPoly.one())
-    assert report["passed"]
