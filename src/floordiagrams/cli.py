@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .fixtures import reference_rows
+from .fixtures import read_json, reference_rows
 from .floordiag import enumerate_diagrams, refined_invariant
 from .invariants import (
     CACHE_ENV_VAR,
@@ -82,10 +82,7 @@ def _load_polygon(args):
         raise ValueError("need exactly one of --polygon or --polygon-file")
     if args.polygon:
         return HPolygon.from_spec(args.polygon), args.polygon
-    with open(args.polygon_file, encoding="utf-8") as handle:
-        data = json.load(handle)
-    poly = HPolygon.from_json_dict(data)
-    return poly, args.polygon_file
+    return HPolygon.from_json_dict(read_json(args.polygon_file)), args.polygon_file
 
 
 def _diagram_payload(dia) -> dict:
@@ -294,14 +291,14 @@ def _check_conjecture(table) -> dict:
     }
 
 
-# name -> check(table, size); size bounds the index sweeps of the surgery identities
+# name -> check(table)
 IDENTITY_CHECKS = {
-    "u-inversion": lambda table, size: surgery.check_u_inversion(size, size),
-    "main-proof": lambda table, size: surgery.check_mainproof_coeffs(size),
-    "conj-quadric": lambda table, size: _check_conjecture(table),
-    "symmetry": lambda table, size: _check_symmetry(),
-    "monotone-s": lambda table, size: _check_monotone(table),
-    "cut-independence": lambda table, size: _check_independence(table),
+    "u-inversion": lambda table: surgery.check_u_inversion(),
+    "main-proof": lambda table: surgery.check_mainproof_coeffs(),
+    "conj-quadric": _check_conjecture,
+    "symmetry": lambda table: _check_symmetry(),
+    "monotone-s": _check_monotone,
+    "cut-independence": _check_independence,
 }
 IDENTITIES = tuple(IDENTITY_CHECKS)
 
@@ -315,7 +312,7 @@ def run_verify(args) -> int:
     else:
         raise ValueError("verify needs --identity or --suite")
     table = InvariantTable(cache_path=args.cache)
-    reports = [IDENTITY_CHECKS[name](table, args.max) for name in names]
+    reports = [IDENTITY_CHECKS[name](table) for name in names]
     appendix_exit = _replay(table, reference_rows(args.fixtures), args.emit) if replay else 0
     payload = {
         "engine": ENGINE_VERSION,
@@ -391,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run identity suites")
     verify.add_argument("--identity", action="append", choices=IDENTITIES)
     verify.add_argument("--suite", choices=("identities", "appendix", "all"))
-    verify.add_argument("--max", type=int, default=12, help="size bound for index sweeps")
     verify.add_argument("--fixtures", help="alternative golden-table JSON file")
     verify.add_argument("--emit", choices=("text", "json"), default="text")
     verify.set_defaults(func=run_verify)

@@ -32,10 +32,18 @@ class ReferenceRow:
         return f"{shape}:{self.a},{self.b} g={self.genus} s={self.pairs}"
 
 
+def read_json(path: str):
+    """Parse a JSON file; a syntax error is a ValueError that names the file."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"malformed JSON in {path}: {err}") from None
+
+
 def _load(path: str | None = None) -> dict:
     if path is not None:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+        return read_json(path)
     ref = resources.files("floordiagrams").joinpath("data/appendix_tables.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 

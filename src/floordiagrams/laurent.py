@@ -3,18 +3,30 @@
 Every invariant computed by this package lives here: integer coefficients of
 arbitrary size, exponents in (1/2)Z.  Exponents are stored doubled internally
 (q^{1/2} has key 1, q^{-3} has key -6) so all arithmetic stays in plain ints.
+Terms are type-checked only where they come in from outside; arithmetic
+results are ints by construction and skip the check.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-
 _INT = frozenset((int,))
 
 
 class LaurentError(ValueError):
     pass
+
+
+def _checked(items: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Nonzero terms of outside (exponent, coefficient) pairs; both must be ints."""
+    terms = {}
+    for e, c in items:
+        if not isinstance(e, int) or not isinstance(c, int):
+            raise LaurentError("exponents and coefficients must be ints")
+        if c:
+            terms[e] = c
+    return terms
 
 
 class LaurentPoly:
@@ -26,54 +38,34 @@ class LaurentPoly:
     use :meth:`from_doubled` to build them directly.
     """
 
-    __slots__ = ("_terms", "_items")
+    __slots__ = ("_terms",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        terms = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if not isinstance(e, int) or not isinstance(c, int):
-                    raise LaurentError("exponents and coefficients must be ints")
-                if c:
-                    terms[2 * e] = c
-        self._terms = terms
-        self._items = tuple(sorted(terms.items()))
+        terms = _checked(coeffs.items()) if coeffs else {}
+        self._terms = {2 * e: c for e, c in terms.items()}
 
     @classmethod
     def from_doubled(cls, doubled: Mapping[int, int]) -> "LaurentPoly":
         """Build from a mapping of doubled exponents (key 1 means q^{1/2})."""
-        p = cls()
-        terms = {}
-        for e2, c in doubled.items():
-            if not isinstance(e2, int) or not isinstance(c, int):
-                raise LaurentError("exponents and coefficients must be ints")
-            if c:
-                terms[e2] = c
-        p._terms = terms
-        p._items = tuple(sorted(terms.items()))
-        return p
+        return _from_terms(_checked(doubled.items()))
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _from_terms({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _from_terms({0: 1})
 
     # -- inspection ---------------------------------------------------------
 
     def items_doubled(self) -> tuple[tuple[int, int], ...]:
         """Sorted (doubled exponent, coefficient) pairs."""
-        return self._items
+        return tuple(sorted(self._terms.items()))
 
     def coefficient(self, exponent: int) -> int:
         """Coefficient of q^exponent for an integer exponent."""
         return self._terms.get(2 * exponent, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -85,23 +77,6 @@ class LaurentPoly:
         """True when the coefficients are symmetric under q -> 1/q."""
         return all(self._terms.get(-e2) == c for e2, c in self._terms.items())
 
-    def min_exponent(self) -> int:
-        """Smallest exponent; requires a nonzero poly with integer exponents."""
-        if not self._terms:
-            raise LaurentError("zero polynomial has no exponents")
-        e2 = min(self._terms)
-        if e2 % 2:
-            raise LaurentError("half-integer exponent present")
-        return e2 // 2
-
-    def max_exponent(self) -> int:
-        if not self._terms:
-            raise LaurentError("zero polynomial has no exponents")
-        e2 = max(self._terms)
-        if e2 % 2:
-            raise LaurentError("half-integer exponent present")
-        return e2 // 2
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -110,7 +85,7 @@ class LaurentPoly:
         terms = dict(self._terms)
         for e2, c in other._terms.items():
             terms[e2] = terms.get(e2, 0) + c
-        return LaurentPoly.from_doubled(terms)
+        return _from_terms(terms)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -118,16 +93,14 @@ class LaurentPoly:
         terms = dict(self._terms)
         for e2, c in other._terms.items():
             terms[e2] = terms.get(e2, 0) - c
-        return LaurentPoly.from_doubled(terms)
+        return _from_terms(terms)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly.from_doubled({e2: -c for e2, c in self._terms.items()})
+        return _from_terms({e2: -c for e2, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly.from_doubled(
-                {e2: c * other for e2, c in self._terms.items()}
-            )
+            return _from_terms({e2: c * other for e2, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         terms: dict[int, int] = {}
@@ -135,7 +108,7 @@ class LaurentPoly:
             for f2, d in other._terms.items():
                 k = e2 + f2
                 terms[k] = terms.get(k, 0) + c * d
-        return LaurentPoly.from_doubled(terms)
+        return _from_terms(terms)
 
     __rmul__ = __mul__
 
@@ -170,11 +143,11 @@ class LaurentPoly:
         """Mapping of integer exponents to coefficients; rejects half-integers."""
         if not self.has_integer_exponents():
             raise LaurentError("half-integer exponents cannot be exported")
-        return {e2 // 2: c for e2, c in self._items}
+        return {e2 // 2: c for e2, c in sorted(self._terms.items())}
 
     def to_json_dict(self) -> dict[str, int]:
         """JSON form: exponent strings to coefficients, e.g. {"-1":1,"0":10,"1":1}."""
-        return {str(e): c for e, c in sorted(self.to_coeff_dict().items())}
+        return {str(e): c for e, c in self.to_coeff_dict().items()}
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, int]) -> "LaurentPoly":
@@ -189,19 +162,19 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._items == other._items
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
-        return f"LaurentPoly.from_doubled({dict(self._items)!r})"
+        return f"LaurentPoly.from_doubled({dict(self.items_doubled())!r})"
 
     def __str__(self) -> str:
-        if not self._items:
+        if not self._terms:
             return "0"
         chunks = []
-        for e2, c in self._items:
+        for e2, c in self.items_doubled():
             mag = abs(c)
             if e2 == 0:
                 body = str(mag)
@@ -216,6 +189,13 @@ class LaurentPoly:
         return " ".join(chunks)
 
 
+def _from_terms(terms: dict[int, int]) -> LaurentPoly:
+    """LaurentPoly over int terms built in this module; drops zeros, checks nothing."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._terms = {e2: c for e2, c in terms.items() if c}
+    return p
+
+
 def quantum_integer(n: int) -> LaurentPoly:
     """The symmetrized q-integer [n]: q^{(n-1)/2} + q^{(n-3)/2} + ... + q^{-(n-1)/2}.
 
@@ -223,4 +203,4 @@ def quantum_integer(n: int) -> LaurentPoly:
     """
     if not isinstance(n, int) or n <= 0:
         raise LaurentError("quantum integer needs a positive integer")
-    return LaurentPoly.from_doubled({e2: 1 for e2 in range(-(n - 1), n, 2)})
+    return _from_terms({e2: 1 for e2 in range(-(n - 1), n, 2)})

@@ -100,13 +100,6 @@ class FloorProfile:
     def d_top(self) -> int:
         return self.widths[-1]
 
-    @property
-    def divergences(self) -> tuple[int, ...]:
-        # div(k) = width below floor k minus width above it, k = 1..height
-        return tuple(
-            self.widths[k - 1] - self.widths[k] for k in range(1, len(self.widths))
-        )
-
 
 class HPolygon:
     """Convex h-transverse lattice polygon in normalized position.

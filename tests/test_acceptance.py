@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from floordiagrams.cli import CONJECTURE_INSTANCES, CONJECTURE_SKIPPED, SYMMETRY_SHAPES
 from floordiagrams.fixtures import reference_rows, reference_value
 from floordiagrams.floordiag import enumerate_diagrams
 from floordiagrams.floordiag import refined_invariant as direct_invariant
@@ -111,27 +112,17 @@ def _qh_reference(table, m, n, genus, pairs):
 
 
 def _conjecture_cells():
-    cells = []
-    for b in range(6):
-        cells.append(pytest.param(1, b, 0, 0))
-    cells.append(pytest.param(2, 0, 1, 0))
-    cells.extend(pytest.param(2, 0, 0, s) for s in range(4))
-    cells.extend(pytest.param(2, 2, g, 0) for g in (1, 2, 3))
-    cells.extend(pytest.param(2, 2, 0, s) for s in range(6))
-    cells.extend(pytest.param(3, 0, g, 0) for g in (1, 2, 3, 4))
-    cells.extend(pytest.param(3, 0, 0, s) for s in range(5))
-    cells.append(
-        pytest.param(
-            3, 0, 0, 5,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="stored expansion gives 48 at the center against the "
-                "stored 40: the bidegree (2,4) s=5 row is off by 4 in the "
-                "stored tables; the engine's 40 restores the identity",
-            ),
-        )
+    # the instances verify checks plus the ones it skips, on the stored tables
+    bad_row = pytest.mark.xfail(
+        strict=True,
+        reason="stored expansion gives 48 at the center against the "
+        "stored 40: the bidegree (2,4) s=5 row is off by 4 in the "
+        "stored tables; the engine's 40 restores the identity",
     )
-    return cells
+    return [
+        pytest.param(*cell, marks=bad_row if cell == (3, 0, 0, 5) else ())
+        for cell in CONJECTURE_INSTANCES + CONJECTURE_SKIPPED
+    ]
 
 
 @pytest.mark.parametrize("a,b,genus,pairs", _conjecture_cells())
@@ -224,7 +215,7 @@ def test_criterion_7_palindromic_and_nonnegative(table):
 
 
 def test_criterion_7_transpose_symmetry():
-    for a, b in ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4)):
+    for a, b in SYMMETRY_SHAPES:
         rect = HPolygon.rectangle(a, b)
         swapped = HPolygon.rectangle(b, a)
         for genus in range(rect.interior_lattice_count() + 1):

@@ -3,7 +3,13 @@ import json
 import pytest
 
 from floordiagrams import cli
-from floordiagrams.invariants import CACHE_ENV_VAR, ENGINE_VERSION, InvariantKey, InvariantTable
+from floordiagrams.invariants import (
+    CACHE_ENV_VAR,
+    ENGINE_VERSION,
+    MAX_HEIGHT,
+    InvariantKey,
+    InvariantTable,
+)
 from floordiagrams.polygon import HPolygon
 
 
@@ -84,7 +90,7 @@ def test_compute_polygon_file(capsys, tmp_path):
     assert json.loads(out)["results"][0]["invariant"] == {"-1": 1, "0": 10, "1": 1}
 
 
-def test_compute_usage_errors(capsys, tmp_path):
+def test_compute_usage_errors(capsys, tmp_path, monkeypatch):
     cases = [
         ("compute", "--polygon", "hex:1,1"),
         ("compute",),
@@ -107,8 +113,9 @@ def test_compute_usage_errors(capsys, tmp_path):
         ({"vertices": [[0, 0], [2.7, 0], [0, 2.9]]}, "vertex [2.7, 0]"),
         ({"vertices": [[0, 0], [True, 0], [0, 1]]}, "vertex [True, 0]"),
         ({"vertices": [[0, 0], [1, 0, 0], [0, 1]]}, "vertex [1, 0, 0]"),
+        ('{"rows": [', f"malformed JSON in {spec}"),
     ):
-        spec.write_text(json.dumps(data))
+        spec.write_text(data if isinstance(data, str) else json.dumps(data))
         code, out, err = run(capsys, "compute", "--polygon-file", str(spec))
         assert code == 2, data
         assert out == ""
@@ -125,6 +132,21 @@ def test_compute_usage_errors(capsys, tmp_path):
         assert err.splitlines() == [err.rstrip("\n")], argv
         assert "exceeds half the point count" in err
     assert not cache.exists()
+    # a polygon too tall to enumerate is refused by the key gate, before any work
+    monkeypatch.setattr(HPolygon, "floor_profile", _never_called)
+    monkeypatch.setattr(InvariantTable, "_compute", _never_called)
+    for spec_text, height in (("p2:99999999999", 99999999999), ("rect:1,1200", 1200)):
+        argv = ("--cache", str(cache), "compute", "--polygon", spec_text)
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
+        assert f"height {height}, above the bound of {MAX_HEIGHT}" in err
+    assert not cache.exists()
+
+
+def _never_called(*args):
+    raise AssertionError("computed a value for a refused request")
 
 
 def test_compute_stuck_reports_trace(capsys):
@@ -212,6 +234,7 @@ GOOD_ROW = {"surface": "QH", "a": 2, "b": 2, "genus": 0, "pairs": 0, "coeffs": {
         {"rows": [[2, 2]]},
         [GOOD_ROW],
         {"rows": {"0": GOOD_ROW}},
+        '{"rows": [',
     ],
     ids=[
         "float-a",
@@ -226,11 +249,12 @@ GOOD_ROW = {"surface": "QH", "a": 2, "b": 2, "genus": 0, "pairs": 0, "coeffs": {
         "row-not-an-object",
         "top-level-list",
         "rows-not-a-list",
+        "truncated-file",
     ],
 )
 def test_appendix_malformed_fixture(capsys, tmp_path, fixture):
     path = tmp_path / "tables.json"
-    path.write_text(json.dumps(fixture))
+    path.write_text(fixture if isinstance(fixture, str) else json.dumps(fixture))
     code, out, err = run(capsys, "appendix", "--fixtures", str(path))
     assert code == 2
     assert out == ""
@@ -242,7 +266,7 @@ def test_appendix_malformed_fixture(capsys, tmp_path, fixture):
 
 def test_verify_single_identities(capsys):
     for name in ("u-inversion", "main-proof"):
-        code, out, _ = run(capsys, "verify", "--identity", name, "--max", "8")
+        code, out, _ = run(capsys, "verify", "--identity", name)
         assert code == 0
         assert f"pass  {name}" in out
 
@@ -286,9 +310,7 @@ def test_verify_all_prints_appendix_then_identities(capsys, monkeypatch):
 
 
 def test_verify_json(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--identity", "u-inversion", "--emit", "json", "--max", "6"
-    )
+    code, out, _ = run(capsys, "verify", "--identity", "u-inversion", "--emit", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True

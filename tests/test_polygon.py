@@ -97,7 +97,6 @@ def test_floor_profile():
     assert prof.height == 3
     assert prof.d_bottom == 3
     assert prof.d_top == 0
-    assert prof.divergences == (1, 1, 1)
 
 
 def test_end_slopes():
