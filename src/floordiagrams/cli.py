@@ -124,7 +124,7 @@ def run_compute(args) -> int:
                 "invariant": rec.value.to_json_dict(),
                 "extrapolated": rec.extrapolated,
             }
-            diagrams = sorted(enumerate_diagrams(polygon, genus)) if args.list_diagrams else ()
+            diagrams = enumerate_diagrams(polygon, genus) if args.list_diagrams else ()
             if args.list_diagrams and args.emit == "json":
                 entry["diagrams"] = [_diagram_payload(dia) for dia in diagrams]
             records.append((entry, rec.value, diagrams))
@@ -337,7 +337,7 @@ def run_verify(args) -> int:
 
 
 def run_cache(args) -> int:
-    path = args.cache or os.environ.get(CACHE_ENV_VAR)
+    path = args.cache
     if not path:
         raise ValueError(f"no cache path: pass --cache or set {CACHE_ENV_VAR}")
     if args.action == "clear":
@@ -412,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # resolved once here: every table gets this path and reads no environment
+    args.cache = args.cache or os.environ.get(CACHE_ENV_VAR)
     try:
         return args.func(args)
     except InvariantError as err:

@@ -134,48 +134,30 @@ class FloorDiagram:
         return q
 
 
-def _outgoing_combinations(total: int, source: int, top: int, max_count: int):
-    """Multisets of (source, target, weight) elevators with the given total weight."""
+def _outgoing_combinations(total: int, source: int, top: int, max_count: int, least=(0, 0)):
+    """Multisets of at most max_count (source, target, weight) elevators with
+    the given total weight, as tuples sorted by (target, weight) from least up."""
     if total == 0:
         yield ()
         return
-    acc: list[tuple[int, int, int]] = []
-
-    def rec(remaining: int, slots: int, min_target: int, min_weight: int):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        if slots == 0:
-            return
-        for target in range(min_target, top + 1):
-            w_lo = min_weight if target == min_target else 1
-            for weight in range(w_lo, remaining + 1):
-                acc.append((source, target, weight))
-                yield from rec(remaining - weight, slots - 1, target, weight)
-                acc.pop()
-
-    yield from rec(total, max_count, source + 1, 1)
+    if max_count == 0:
+        return
+    for target in range(max(source + 1, least[0]), top + 1):
+        for weight in range(1, total + 1):
+            if (target, weight) >= least:
+                for rest in _outgoing_combinations(
+                    total - weight, source, top, max_count - 1, (target, weight)
+                ):
+                    yield ((source, target, weight),) + rest
 
 
-def _distinct_orders(values):
-    """Distinct orderings of a multiset, as tuples."""
-    counts = Counter(values)
-    n = len(values)
-    acc: list[int] = []
-
-    def rec():
-        if len(acc) == n:
-            yield tuple(acc)
-            return
-        for v in sorted(counts):
-            if counts[v]:
-                counts[v] -= 1
-                acc.append(v)
-                yield from rec()
-                acc.pop()
-                counts[v] += 1
-
-    yield from rec()
+def _distinct_orders(counts: Counter):
+    """Distinct orderings of the multiset counts, as tuples."""
+    if not counts:
+        yield ()
+    for v in sorted(counts):
+        for rest in _distinct_orders(counts - Counter((v,))):
+            yield (v,) + rest
 
 
 def divergence_sequences(polygon) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -187,14 +169,21 @@ def divergence_sequences(polygon) -> tuple[tuple[tuple[int, ...], int], ...]:
     """
     left, right = polygon.end_slopes()
     combos: Counter = Counter()
-    for aseq in _distinct_orders(left):
-        for bseq in _distinct_orders(right):
+    for aseq in _distinct_orders(Counter(left)):
+        for bseq in _distinct_orders(Counter(right)):
             combos[tuple(a + b for a, b in zip(aseq, bseq))] += 1
     return tuple(sorted(combos.items()))
 
 
 def enumerate_diagrams(polygon, genus: int) -> tuple[FloorDiagram, ...]:
-    """All genus-g floor diagrams on the polygon, in a deterministic order."""
+    """All genus-g floor diagrams on the polygon, sorted.
+
+    For each divergence sequence a walk up the floors gives floor k its
+    bottom ends, top ends and outgoing elevators so that its flow balances;
+    the top floor takes the ends that are left.  A branch stops as soon as it
+    cannot connect: when a floor below the top has no elevator, or when no
+    elevator crosses above the floor just placed.
+    """
     if is_degenerate(polygon):
         return ()
     if genus < 0:
@@ -202,55 +191,37 @@ def enumerate_diagrams(polygon, genus: int) -> tuple[FloorDiagram, ...]:
     profile = polygon.floor_profile()
     h = profile.height
     n_elev = genus + h - 1
-    found: list[FloorDiagram] = []
 
-    def extend(div, weight, k, bot_left, top_left, incoming, bots, tops, elevs):
+    def extend(div, k, bot_left, top_left, incoming, bots, tops, elevs):
+        """(elevators, bottom ends, top ends) of each completion from floor k up."""
         in_k = incoming[k]
         if k == h:
-            if len(elevs) != n_elev:
-                return
-            if bot_left + in_k - top_left != div[k - 1]:
-                return
-            dia = FloorDiagram(
-                h,
-                tuple(sorted(elevs)),
-                tuple(bots + [bot_left]),
-                tuple(tops + [top_left]),
-                div,
-                weight,
-            )
-            if dia.is_connected():
-                found.append(dia)
+            if len(elevs) == n_elev and bot_left + in_k - top_left == div[k - 1]:
+                yield elevs, bots + (bot_left,), tops + (top_left,)
             return
         for bot_k in range(bot_left + 1):
             for top_k in range(top_left + 1):
                 out_k = bot_k + in_k - top_k - div[k - 1]
-                if out_k < 0:
+                if out_k < 0 or not (in_k or out_k):
                     continue
-                room = n_elev - len(elevs)
-                for combo in _outgoing_combinations(out_k, k, h, room):
+                for combo in _outgoing_combinations(out_k, k, h, n_elev - len(elevs)):
+                    above = incoming.copy()
                     for _, j, w in combo:
-                        incoming[j] += w
-                    extend(
-                        div,
-                        weight,
-                        k + 1,
-                        bot_left - bot_k,
-                        top_left - top_k,
-                        incoming,
-                        bots + [bot_k],
-                        tops + [top_k],
-                        elevs + list(combo),
-                    )
-                    for _, j, w in combo:
-                        incoming[j] -= w
+                        above[j] += w
+                    if any(above[k + 1 :]):
+                        yield from extend(
+                            div, k + 1, bot_left - bot_k, top_left - top_k, above,
+                            bots + (bot_k,), tops + (top_k,), elevs + combo,
+                        )
 
+    found = []
     for div, weight in divergence_sequences(polygon):
-        extend(
-            div, weight, 1, profile.d_bottom, profile.d_top, [0] * (h + 1), [], [], []
-        )
-    found.sort()
-    return tuple(found)
+        walk = extend(div, 1, profile.d_bottom, profile.d_top, [0] * (h + 1), (), (), ())
+        for elevs, bots, tops in walk:
+            dia = FloorDiagram(h, tuple(sorted(elevs)), bots, tops, div, weight)
+            if dia.is_connected():
+                found.append(dia)
+    return tuple(sorted(found))
 
 
 def refined_invariant(polygon, genus: int) -> LaurentPoly:

@@ -28,10 +28,12 @@ from .laurent import LaurentPoly
 from .polygon import HPolygon, is_degenerate
 
 ENGINE_VERSION = "0.1.0"
-CACHE_ENV_VAR = "FLOORDIAGRAMS_CACHE"
-# tallest polygon a request may name: enumeration time grows about 1.8-fold
-# per lattice row (rect:1,20 takes 9 s, rect:1,25 over 30 s), so a polygon
-# above this bound cannot finish and is refused before anything is computed
+CACHE_ENV_VAR = "FLOORDIAGRAMS_CACHE"  # read by the CLI; a table uses the path it is given
+# tallest polygon a request may name.  Enumeration time follows the diagram
+# count: rect:1,64 takes 0.01 s, but rect:2,h grows about 2.3-fold per row
+# (rect:2,12 takes 4 s, rect:2,14 21 s), and past about 300 rows the marking
+# walk overflows the Python stack.  A taller polygon is refused before
+# anything is computed rather than left to run out of time or stack.
 MAX_HEIGHT = 64
 
 
@@ -148,7 +150,8 @@ def _parse_cache_line(line: str):
 
 
 class InvariantTable:
-    """Memoized store of refined invariants with an optional JSONL cache.
+    """Memoized store of refined invariants with an optional JSONL cache at
+    cache_path; no cache path means none, whatever the environment says.
 
     Each record carries an extrapolated flag: True when some recursion step
     was taken at a polygon whose toric surface is not a smooth del Pezzo of
@@ -158,7 +161,7 @@ class InvariantTable:
 
     def __init__(self, cache_path: str | None = None, verify_cache: bool = False):
         self._records: dict[InvariantKey, InvariantRecord] = {}
-        self._cache_path = cache_path or os.environ.get(CACHE_ENV_VAR)
+        self._cache_path = cache_path
         self._verify_cache = verify_cache
         self._stale_cache_lines = 0
         if self._cache_path and os.path.exists(self._cache_path):

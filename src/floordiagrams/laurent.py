@@ -155,7 +155,7 @@ class LaurentPoly:
         (a float, a bool, a string) is an error, not truncated."""
         if not _INT.issuperset(map(type, data.values())):
             raise LaurentError("coefficients must be integers")
-        return cls({int(e): c for e, c in data.items()})
+        return _from_terms({2 * int(e): c for e, c in data.items()})
 
     # -- dunder plumbing ----------------------------------------------------
 

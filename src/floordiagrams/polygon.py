@@ -112,8 +112,13 @@ class HPolygon:
     __slots__ = ("_vertices",)
 
     def __init__(self, vertices):
-        pts = [(int(x), int(y)) for x, y in vertices]
-        pts = _clean_loop(pts)
+        pts = list(vertices)
+        for v in pts:
+            # a float, a bool or a string is refused, never coerced to an int
+            if not (isinstance(v, (list, tuple)) and len(v) == 2
+                    and all(type(c) is int for c in v)):
+                raise PolygonError(f"vertex {v!r} is not a pair of integers")
+        pts = _clean_loop([tuple(v) for v in pts])
         if len(pts) < 3 or _signed_area2(pts) == 0:
             raise PolygonError("polygon must have positive area")
         if _signed_area2(pts) < 0:
@@ -191,9 +196,6 @@ class HPolygon:
         vertices = data.get("vertices") if isinstance(data, dict) else None
         if not isinstance(vertices, list):
             raise PolygonError('polygon JSON must be an object with a "vertices" list')
-        for v in vertices:
-            if not (isinstance(v, list) and len(v) == 2 and all(type(c) is int for c in v)):
-                raise PolygonError(f"vertex {v!r} is not a pair of integers")
         return cls(vertices)
 
     # -- basic geometry ---------------------------------------------------

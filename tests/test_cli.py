@@ -31,6 +31,14 @@ def test_compute_text(capsys):
     assert "p2:1 g=0 s=0: 1" in out
 
 
+def test_compute_tallest_allowed_polygon(capsys):
+    # a bidegree (1, b) class carries exactly one rational curve
+    spec = f"rect:1,{MAX_HEIGHT}"
+    code, out, _ = run(capsys, "compute", "--polygon", spec)
+    assert code == 0
+    assert out == f"{spec} g=0 s=0: 1\n"
+
+
 def test_compute_extrapolated_marker(capsys):
     code, out, _ = run(capsys, "compute", "--polygon", "sigma2:2,0", "--pairs", "1")
     assert code == 0
@@ -433,11 +441,22 @@ def test_cache_malformed_line(capsys, tmp_path, bad_line):
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     path = str(tmp_path / "cache.jsonl")
     monkeypatch.setenv(CACHE_ENV_VAR, path)
-    code, _, _ = run(capsys, "compute", "--polygon", "rect:1,2")
+    code, _, _ = run(capsys, "compute", "--polygon", "rect:2,2")
     assert code == 0
     code, out, _ = run(capsys, "cache", "stats")
     assert code == 0
     assert json.loads(out)["records"] == 1
+    # a tampered cache the variable selects is checked against fresh values,
+    # not against a second load of itself
+    with open(path) as fh:
+        text = fh.read()
+    assert '"0": 10' in text
+    with open(path, "w") as fh:
+        fh.write(text.replace('"0": 10', '"0": 11'))
+    code, out, _ = run(capsys, "cache", "verify")
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False and "verification failed" in report["error"]
 
 
 def test_cache_needs_a_path(capsys, monkeypatch):

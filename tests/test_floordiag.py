@@ -1,3 +1,6 @@
+from collections import Counter, defaultdict
+from itertools import combinations_with_replacement, permutations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +13,7 @@ from floordiagrams.floordiag import (
     refined_invariant,
 )
 from floordiagrams.laurent import LaurentPoly
-from floordiagrams.polygon import HPolygon
+from floordiagrams.polygon import HPolygon, PolygonError
 
 
 def brute_force_markings(dia: FloorDiagram) -> int:
@@ -169,3 +172,90 @@ def test_diagram_order_is_deterministic():
     first = enumerate_diagrams(HPolygon.rectangle(2, 3), 0)
     second = enumerate_diagrams(HPolygon.rectangle(2, 3), 0)
     assert first == second == tuple(sorted(first))
+
+
+def brute_force_sequences(polygon) -> Counter:
+    """Divergence sequences: every pair of orderings of the left and right slopes."""
+    left, right = polygon.end_slopes()
+    return Counter(
+        tuple(a + b for a, b in zip(aseq, bseq))
+        for aseq in set(permutations(left))
+        for bseq in set(permutations(right))
+    )
+
+
+def brute_force_diagrams(polygon, genus: int) -> tuple[FloorDiagram, ...]:
+    """Every connected (elevators, bottom ends, top ends) triple whose floors
+    all satisfy the flow equation bot_k + in_k - top_k - out_k = div_k.
+
+    Tries every placement of the bottom ends, every placement of the top ends
+    and every multiset of genus + h - 1 elevators (i < j, w), for each
+    divergence sequence.  Summing the flow equations of floors 1..k shows
+    that the elevators crossing above floor k weigh sum(bot - top - div) over
+    those floors, at most d_bottom - sum(div[:k]); every elevator (i, j, w)
+    crosses above floor i, so that maximum over k < h bounds w."""
+    profile = polygon.floor_profile()
+    h, d_bottom, d_top = profile.height, profile.d_bottom, profile.d_top
+    # (bottom ends, top ends) placements, keyed by bot_k - top_k on each floor
+    placements = defaultdict(list)
+    for bots in product(range(d_bottom + 1), repeat=h):
+        for tops in product(range(d_top + 1), repeat=h):
+            if sum(bots) == d_bottom and sum(tops) == d_top:
+                placements[tuple(b - t for b, t in zip(bots, tops))].append((bots, tops))
+    found = []
+    for div, weight in brute_force_sequences(polygon).items():
+        bound = max((d_bottom - sum(div[:k]) for k in range(1, h)), default=0)
+        candidates = [
+            (i, j, w)
+            for i in range(1, h + 1)
+            for j in range(i + 1, h + 1)
+            for w in range(1, bound + 1)
+        ]
+        for elevs in combinations_with_replacement(candidates, genus + h - 1):
+            out_minus_in = [0] * (h + 1)
+            for i, j, w in elevs:
+                out_minus_in[i] += w
+                out_minus_in[j] -= w
+            need = tuple(div[k - 1] + out_minus_in[k] for k in range(1, h + 1))
+            for bots, tops in placements[need]:
+                dia = FloorDiagram(h, elevs, bots, tops, div, weight)
+                if dia.is_connected():
+                    found.append(dia)
+    return tuple(sorted(found))
+
+
+def small_polygons() -> list[HPolygon]:
+    """Every h-transverse polygon of height <= 3 and row widths <= 3 whose
+    sides step by -1, 0 or 1 per row: left steps rise, right steps fall."""
+    polys = {}
+    for h, bottom in product((1, 2, 3), range(4)):
+        for left in product((-1, 0, 1), repeat=h):
+            for right in product((1, 0, -1), repeat=h):
+                if list(left) != sorted(left) or list(right) != sorted(right, reverse=True):
+                    continue
+                xs = [(0, bottom)]
+                for a, b in zip(left, right):
+                    xs.append((xs[-1][0] + a, xs[-1][1] + b))
+                if any(not 0 <= r - l <= 3 for l, r in xs):
+                    continue
+                boundary = [(l, y) for y, (l, _) in enumerate(xs)][::-1]
+                boundary += [(r, y) for y, (_, r) in enumerate(xs)]
+                try:
+                    poly = HPolygon(boundary)
+                except PolygonError:  # zero area
+                    continue
+                polys[poly.vertices] = poly
+    return list(polys.values())
+
+
+def test_enumeration_matches_brute_force():
+    polys = small_polygons()
+    assert len(polys) >= 30
+    assert sum(len(brute_force_sequences(p)) > 1 for p in polys) >= 30  # mixed slopes
+    diagrams = 0
+    for poly in polys:
+        for genus in range(poly.interior_lattice_count() + 1):
+            expected = brute_force_diagrams(poly, genus)
+            assert enumerate_diagrams(poly, genus) == expected, (poly, genus)
+            diagrams += len(expected)
+    assert diagrams > 1000

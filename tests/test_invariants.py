@@ -3,6 +3,7 @@ import json
 import pytest
 
 from floordiagrams.invariants import (
+    CACHE_ENV_VAR,
     ENGINE_VERSION,
     InvariantError,
     InvariantKey,
@@ -177,6 +178,18 @@ def test_cache_verification_catches_tampering(tmp_path):
     path.write_text("".join(json.dumps(l) + "\n" for l in lines))
     with pytest.raises(InvariantError, match="verification failed"):
         InvariantTable(cache_path=str(path), verify_cache=True)
+
+
+def test_table_ignores_the_cache_env_var(tmp_path, monkeypatch):
+    # the CLI resolves the variable; a table built without a path has no cache
+    path = tmp_path / "env.jsonl"
+    InvariantTable(cache_path=str(path)).refined_invariant(HPolygon.rectangle(2, 2), 0)
+    before = path.read_text()
+    monkeypatch.setenv(CACHE_ENV_VAR, str(path))
+    table = InvariantTable()
+    assert table.cache_stats() == {"path": None, "records": 0, "stale_lines": 0}
+    table.refined_invariant(HPolygon.rectangle(2, 3), 0)
+    assert path.read_text() == before
 
 
 def test_cache_skips_stale_engine_lines(tmp_path):

@@ -61,6 +61,10 @@ def test_rejects_bad_input():
         HPolygon([(0, 0), (2, 0), (2, 2), (1, 1), (0, 2)])  # reflex corner
     with pytest.raises(PolygonError):
         HPolygon([(0, 0), (1, 2), (0, 3)])  # edge (1,2) too steep
+    # coordinates are refused, not truncated or parsed, whoever builds the polygon
+    for bad in ((2.7, 0), (True, 0), ("2", "0"), (2, 0, 0)):
+        with pytest.raises(PolygonError, match="is not a pair of integers"):
+            HPolygon([(0, 0), bad, (0, 2)])
 
 
 def test_degenerate_singleton():
