@@ -1,7 +1,7 @@
 """Refined curve counting on h-transverse polygons via floor diagrams."""
 
 from .laurent import LaurentError, LaurentPoly, quantum_integer
-from .polygon import DEGENERATE, FloorProfile, HPolygon, PolygonError, is_degenerate
+from .polygon import FloorProfile, HPolygon, PolygonError
 from .floordiag import DiagramError, FloorDiagram, enumerate_diagrams, refined_invariant
 from .invariants import (
     CACHE_ENV_VAR,
@@ -25,7 +25,6 @@ __version__ = ENGINE_VERSION
 
 __all__ = [
     "CACHE_ENV_VAR",
-    "DEGENERATE",
     "ENGINE_VERSION",
     "DiagramError",
     "FloorDiagram",
@@ -44,7 +43,6 @@ __all__ = [
     "check_mainproof_coeffs",
     "check_u_inversion",
     "enumerate_diagrams",
-    "is_degenerate",
     "max_pairs",
     "quantum_integer",
     "refined_invariant",

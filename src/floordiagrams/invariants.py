@@ -23,18 +23,12 @@ import os
 from dataclasses import dataclass
 from itertools import chain
 
-from .floordiag import refined_invariant as _direct_invariant
+from .floordiag import MAX_HEIGHT, refined_invariant as _direct_invariant
 from .laurent import LaurentPoly
-from .polygon import HPolygon, is_degenerate
+from .polygon import HPolygon
 
 ENGINE_VERSION = "0.1.0"
 CACHE_ENV_VAR = "FLOORDIAGRAMS_CACHE"  # read by the CLI; a table uses the path it is given
-# tallest polygon a request may name.  Enumeration time follows the diagram
-# count: rect:1,64 takes 0.01 s, but rect:2,h grows about 2.3-fold per row
-# (rect:2,12 takes 4 s, rect:2,14 21 s), and past about 300 rows the marking
-# walk overflows the Python stack.  A taller polygon is refused before
-# anything is computed rather than left to run out of time or stack.
-MAX_HEIGHT = 64
 
 
 class InvariantError(ValueError):
@@ -78,16 +72,14 @@ def _pair_step(polygon) -> tuple:
 
 def max_pairs(polygon) -> int:
     """Largest admissible pair count: half the genus-0 point count."""
-    if is_degenerate(polygon):
-        return 0
     return polygon.point_count(0) // 2
 
 
 @dataclass(frozen=True)
 class InvariantKey:
-    """Canonical table key; polygon part is the canonical vertex tuple or "degenerate"."""
+    """Canonical table key; polygon part is the canonical vertex tuple."""
 
-    polygon: tuple | str
+    polygon: tuple
     genus: int
     pairs: int
 
@@ -97,8 +89,7 @@ class InvariantKey:
             raise InvariantError("genus and pairs must be >= 0")
         if pairs > 0 and genus != 0:
             raise InvariantError("conjugate pairs only refine genus 0")
-        if is_degenerate(polygon):
-            return cls("degenerate", genus, pairs)
+        # refused here too, so a request fails before any record is computed
         if polygon.height > MAX_HEIGHT:
             raise InvariantError(
                 f"{polygon!r} has height {polygon.height}, above the bound of {MAX_HEIGHT}"
@@ -120,11 +111,13 @@ _INT = frozenset((int,))
 
 
 def _parse_cache_line(line: str):
-    """(key, record) stored on one cache line, or None for another engine version."""
+    """(key, record) stored on one cache line, or None for a stale line: one
+    of another engine version, or a zero-area cut remainder written by an
+    earlier build."""
     entry = json.loads(line)
     if not isinstance(entry, dict):
         raise ValueError("not a JSON object")
-    if entry.get("engine") != ENGINE_VERSION:
+    if entry.get("engine") != ENGINE_VERSION or entry.get("polygon") == "degenerate":
         return None
     fields = ("polygon", "genus", "pairs", "coeffs", "extrapolated")
     missing = [field for field in fields if field not in entry]
@@ -138,12 +131,9 @@ def _parse_cache_line(line: str):
         raise ValueError("genus and pairs must be integers >= 0")
     if type(entry["extrapolated"]) is not bool:
         raise ValueError("extrapolated must be true or false")
-    if entry["polygon"] == "degenerate":
-        key_poly = "degenerate"
-    else:
-        key_poly = tuple(map(tuple, entry["polygon"]))
-        if not _INT.issuperset(map(type, chain.from_iterable(key_poly))):
-            raise ValueError("polygon coordinates must be integers")
+    key_poly = tuple(map(tuple, entry["polygon"]))
+    if not _INT.issuperset(map(type, chain.from_iterable(key_poly))):
+        raise ValueError("polygon coordinates must be integers")
     key = InvariantKey(key_poly, genus, pairs)
     rec = InvariantRecord(LaurentPoly.from_json_dict(entry["coeffs"]), entry["extrapolated"])
     return key, rec
@@ -200,8 +190,6 @@ class InvariantTable:
     # -- computation ---------------------------------------------------------
 
     def _compute(self, polygon, genus: int, pairs: int) -> InvariantRecord:
-        if is_degenerate(polygon):
-            return InvariantRecord(LaurentPoly.zero(), False)
         if pairs == 0:
             return InvariantRecord(_direct_invariant(polygon, genus), False)
         sub_full = self.record(polygon, 0, pairs - 1)
@@ -223,8 +211,6 @@ class InvariantTable:
         memo: dict[tuple, tuple[LaurentPoly, ...]] = {}
 
         def sweep(poly, s) -> tuple[LaurentPoly, ...]:
-            if is_degenerate(poly):
-                return (LaurentPoly.zero(),)
             key = (poly.canonical_key(), s)
             try:
                 return memo[key]
@@ -261,8 +247,6 @@ class InvariantTable:
         no corner admits the cut of a nonempty class, ends its branch.
         visited holds the keys the walk has reached so far.
         """
-        if is_degenerate(polygon):
-            return {"polygon": "degenerate", "pairs": pairs, "value": {}}
         node = {"polygon": [list(v) for v in polygon.vertices], "pairs": pairs}
         if visited is None:
             visited = set()
@@ -304,7 +288,7 @@ class InvariantTable:
                     continue
                 try:
                     parsed = _parse_cache_line(line)
-                    if self._verify_cache and parsed and parsed[0].polygon != "degenerate":
+                    if self._verify_cache and parsed:
                         polygons[parsed[0]] = HPolygon(parsed[0].polygon)
                 except (ValueError, TypeError, AttributeError) as err:
                     raise InvariantError(
@@ -335,9 +319,7 @@ class InvariantTable:
             return
         entry = {
             "engine": ENGINE_VERSION,
-            "polygon": "degenerate"
-            if key.polygon == "degenerate"
-            else [list(v) for v in key.polygon],
+            "polygon": [list(v) for v in key.polygon],
             "genus": key.genus,
             "pairs": key.pairs,
             "coeffs": rec.value.to_json_dict(),

@@ -16,27 +16,6 @@ class PolygonError(ValueError):
     pass
 
 
-class _Degenerate:
-    """Zero-area outcome of a corner cut; every invariant of it is zero."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Degenerate"
-
-
-DEGENERATE = _Degenerate()
-
-
-def is_degenerate(obj) -> bool:
-    return obj is DEGENERATE
-
-
 def _primitive(v: tuple[int, int]) -> tuple[int, int]:
     g = gcd(v[0], v[1])
     return (v[0] // g, v[1] // g)
@@ -270,16 +249,21 @@ class HPolygon:
 
     # -- symmetries and keys ----------------------------------------------
 
-    def x_reflection(self) -> "HPolygon":
-        return HPolygon([(-x, y) for x, y in self._vertices])
-
     def transpose(self) -> "HPolygon":
         """Swap the coordinate axes; errors if the result is not h-transverse."""
         return HPolygon([(y, x) for x, y in self._vertices])
 
     def canonical_key(self) -> tuple[tuple[int, int], ...]:
-        """Representative of the polygon up to x-reflection, for table keys."""
-        return min(self._vertices, self.x_reflection()._vertices)
+        """Representative of the polygon up to x-reflection, for table keys.
+
+        The mirror image x -> xmax - x is already normalized once its
+        vertices are reversed back to counterclockwise order and rotated to
+        start at the smallest one.
+        """
+        xmax = max(x for x, _ in self._vertices)
+        mirror = [(xmax - x, y) for x, y in reversed(self._vertices)]
+        start = mirror.index(min(mirror))
+        return min(self._vertices, tuple(mirror[start:] + mirror[:start]))
 
     # -- corner cuts --------------------------------------------------------
 
@@ -345,9 +329,8 @@ class HPolygon:
         have lattice length >= 2 (the cut fits), and neither adjacent divisor
         has negative self-intersection (a point on such a divisor is not in
         general position, and the count after blowing it up would differ from
-        the generic one).  Returns DEGENERATE when the remainder has zero
-        area; raises PolygonError when the cut does not apply or the
-        remainder is not h-transverse.
+        the generic one).  Raises PolygonError when the cut does not apply or
+        the remainder has zero area or is not h-transverse.
         """
         u, lu, w, lw = self.corner_directions(corner)
         if lu < 2 or lw < 2:
@@ -364,9 +347,6 @@ class HPolygon:
         p_next = (v[0] + 2 * u[0], v[1] + 2 * u[1])
         pts = list(self._vertices)
         pts[i : i + 1] = [p_prev, p_next]
-        cleaned = _clean_loop(pts)
-        if len(cleaned) < 3 or _signed_area2(cleaned) == 0:
-            return DEGENERATE
         result = HPolygon(pts)
         if result.area2 != self.area2 - 4:
             raise PolygonError("corner cut did not remove a triangle of area 2")
@@ -383,7 +363,7 @@ class HPolygon:
         return tuple(good)
 
     def admissible_cut_corners(self) -> tuple[tuple[int, int], ...]:
-        """Vertices where corner_cut succeeds (possibly with degenerate result)."""
+        """Vertices where corner_cut succeeds."""
         return tuple(corner for corner, _ in self.admissible_cuts())
 
     def has_room_for_cut(self) -> bool:

@@ -6,18 +6,48 @@ from pathlib import Path
 from floordiagrams import cli, fixtures, floordiag, invariants, laurent, polygon, surgery
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+MODULES = [cli, fixtures, invariants, polygon, floordiag, laurent, surgery]
 
 
-def test_tracer_installs_on_the_package_and_uninstalls():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    return tracer_module.Tracer()
+
+
+def test_tracer_installs_on_the_package_and_uninstalls():
     main, record = cli.main, invariants.InvariantTable.record
-    tracer = tracer_module.Tracer()
+    tracer = load_tracer()
     try:
-        tracer.install([cli, fixtures, invariants, polygon, floordiag, laurent, surgery])
+        tracer.install(MODULES)
         assert cli.main is not main
     finally:
         tracer.uninstall()
     assert cli.main is main
     assert invariants.InvariantTable.record is record
+
+
+def test_traced_requests_reach_every_wrapper(capsys):
+    # the wrappers' counters unpack the wrapped calls' arguments, so a changed
+    # signature shows up here as an error or a zero count
+    tracer = load_tracer()
+    try:
+        tracer.install(MODULES)
+        codes = (
+            cli.main(["compute", "--polygon", "rect:2,2", "--pairs", "0..3"]),
+            cli.main(["compute", "--polygon", "rect:3,3", "--pairs", "3"]),  # stuck
+        )
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == (0, 2)
+    counts = tracer.counts()
+    # the harness counts output bytes; no cache, fixture or surgery path is taken
+    idle = {
+        name
+        for name in counts
+        if name.startswith(("cli.std", "fixtures.", "invariants.cache.", "surgery."))
+    }
+    assert counts["cli.requests"] == 2
+    assert all(counts[name] for name in counts.keys() - idle), counts

@@ -377,6 +377,30 @@ def test_cache_cli_flow(capsys, tmp_path):
     assert not os.path.exists(path)
 
 
+def test_cache_zero_area_lines_of_earlier_builds_are_stale(capsys, tmp_path):
+    # earlier builds recorded a cut leaving no area under a "degenerate" polygon
+    path = tmp_path / "cache.jsonl"
+    code, first, _ = run(capsys, "--cache", str(path), "compute", "--polygon", "rect:2,2", "--pairs", "0..1")
+    assert code == 0
+    lines = path.read_text().splitlines()
+    lines.insert(1, json.dumps({
+        "engine": ENGINE_VERSION, "polygon": "degenerate", "genus": 0, "pairs": 0,
+        "coeffs": {}, "extrapolated": False,
+    }))
+    path.write_text("\n".join(lines) + "\n")
+    before = path.read_text()
+    code, out, err = run(capsys, "--cache", str(path), "compute", "--polygon", "rect:2,2", "--pairs", "0..1")
+    assert (code, out, err) == (0, first, "")
+    assert path.read_text() == before  # every cell was served from the cache
+    code, out, _ = run(capsys, "--cache", str(path), "cache", "stats")
+    assert code == 0
+    stats = json.loads(out)
+    assert stats["records"] == len(lines) - 1 and stats["stale_lines"] == 1
+    code, out, _ = run(capsys, "--cache", str(path), "cache", "verify")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 GEOMETRY_LINES = (
     '{"engine": "0.1.0", "polygon": [[0, 0, 0], [2, 0, 0], [2, 2, 0]], "genus": 0, '
     '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": false}\n',

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floordiagrams.floordiag import (
+    MAX_HEIGHT,
     DiagramError,
     FloorDiagram,
     divergence_sequences,
@@ -166,6 +167,13 @@ def test_genus_range():
     assert refined_invariant(HPolygon.p2_triangle(3), 1) == LaurentPoly.one()
     with pytest.raises(DiagramError):
         enumerate_diagrams(HPolygon.rectangle(2, 2), -1)
+
+
+def test_height_bound():
+    # the marking walk recurses once per element; 300 rows would overflow the stack
+    with pytest.raises(DiagramError, match=f"height 300 is above the bound of {MAX_HEIGHT}"):
+        refined_invariant(HPolygon.rectangle(1, 300), 0)
+    assert refined_invariant(HPolygon.rectangle(1, MAX_HEIGHT), 0) == LaurentPoly.one()
 
 
 def test_diagram_order_is_deterministic():

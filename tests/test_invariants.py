@@ -117,8 +117,6 @@ def test_recursion_trace_expands_each_pair_once(table):
     stack = [trace]
     while stack:
         node = stack.pop()
-        if node["polygon"] == "degenerate":
-            continue
         key = (HPolygon(node["polygon"]).canonical_key(), node["pairs"])
         if node.get("repeat"):
             assert "children" not in node
@@ -128,6 +126,15 @@ def test_recursion_trace_expands_each_pair_once(table):
         stack.extend(node.get("children", ()))
     assert len(seen) == len(set(seen))
     assert repeats and set(repeats) <= set(seen)
+
+
+def test_recursion_trace_of_a_cut_that_leaves_no_area(table):
+    # the cut would remove the whole conic, so d - 2E is an empty count
+    trace = table.recursion_trace(HPolygon([(2, 0), (2, 2), (0, 2)]), 1)
+    assert trace["corner"] is None
+    assert len(trace["children"]) == 1
+    assert trace["children"][0]["pairs"] == 0
+    assert trace["value"] == trace["children"][0]["value"]
 
 
 def test_extrapolated_flags(table):

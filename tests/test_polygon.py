@@ -1,12 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from floordiagrams.polygon import (
-    DEGENERATE,
-    HPolygon,
-    PolygonError,
-    is_degenerate,
-)
+from floordiagrams.polygon import HPolygon, PolygonError
 
 
 def test_rectangle_constructor():
@@ -67,12 +62,6 @@ def test_rejects_bad_input():
             HPolygon([(0, 0), bad, (0, 2)])
 
 
-def test_degenerate_singleton():
-    assert is_degenerate(DEGENERATE)
-    assert not is_degenerate(HPolygon.rectangle(1, 1))
-    assert repr(DEGENERATE) == "Degenerate"
-
-
 def test_lattice_counts_small_cases():
     sq = HPolygon.rectangle(2, 2)
     assert sq.area2 == 8
@@ -112,18 +101,46 @@ def test_end_slopes():
     assert HPolygon.rectangle(2, 2).end_slopes() == ((0, 0), (0, 0))
 
 
+def mirror_of(polygon):
+    return HPolygon([(-x, y) for x, y in polygon.vertices])
+
+
 def test_transpose_and_reflection():
     assert HPolygon.rectangle(2, 4).transpose() == HPolygon.rectangle(4, 2)
     sq = HPolygon.rectangle(2, 2)
-    assert sq.x_reflection() == sq
+    assert mirror_of(sq) == sq
     skew = HPolygon([(2, 0), (4, 0), (2, 2), (0, 2)])
-    mirror = skew.x_reflection()
+    mirror = mirror_of(skew)
     assert mirror != skew
     assert mirror.vertices == ((0, 0), (2, 0), (4, 2), (2, 2))
     # both mirror images share one canonical key
     assert skew.canonical_key() == mirror.canonical_key() == mirror.vertices
     # transposes are deliberately kept distinct
     assert HPolygon.rectangle(2, 4).canonical_key() != HPolygon.rectangle(4, 2).canonical_key()
+
+
+@st.composite
+def h_transverse_polygons(draw):
+    """Rows 0..h whose left ends step by rising amounts and right ends by
+    falling ones, so both sides are convex chains of (a, 1) edges."""
+    h = draw(st.integers(1, 6))
+    left = sorted(draw(st.lists(st.integers(-3, 3), min_size=h, max_size=h)))
+    right = sorted(draw(st.lists(st.integers(-3, 3), min_size=h, max_size=h)), reverse=True)
+    rows = [(0, draw(st.integers(0, 6)))]
+    for a, b in zip(left, right):
+        rows.append((rows[-1][0] + a, rows[-1][1] + b))
+    assume(all(lo <= hi for lo, hi in rows))
+    boundary = [(lo, y) for y, (lo, _) in enumerate(rows)][::-1]
+    boundary += [(hi, y) for y, (_, hi) in enumerate(rows)]
+    try:
+        return HPolygon(boundary)
+    except PolygonError:  # zero area
+        assume(False)
+
+
+@given(h_transverse_polygons())
+def test_canonical_key_is_the_smaller_of_the_two_mirror_images(polygon):
+    assert polygon.canonical_key() == min(polygon.vertices, mirror_of(polygon).vertices)
 
 
 def test_negative_edges():
@@ -184,9 +201,12 @@ def test_corner_cut_rejects_non_unimodular_corner():
         cone.corner_cut((0, 3))
 
 
-def test_corner_cut_can_degenerate():
+def test_corner_cut_refuses_zero_area_remainder():
+    # the cut triangle is the whole conic: d - 2E has no curves, like any refused cut
     conic = HPolygon([(0, 0), (2, 0), (0, 2)])
-    assert is_degenerate(conic.corner_cut((0, 0)))
+    with pytest.raises(PolygonError, match="positive area"):
+        conic.corner_cut((0, 0))
+    assert conic.admissible_cut_corners() == ()
 
 
 def test_blocked_hexagon_has_no_room():
