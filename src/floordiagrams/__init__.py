@@ -1,7 +1,7 @@
 """Refined curve counting on h-transverse polygons via floor diagrams."""
 
 from .laurent import LaurentError, LaurentPoly, quantum_integer
-from .polygon import FloorProfile, HPolygon, PolygonError
+from .polygon import HPolygon, PolygonError
 from .floordiag import DiagramError, FloorDiagram, enumerate_diagrams, refined_invariant
 from .invariants import (
     CACHE_ENV_VAR,
@@ -28,7 +28,6 @@ __all__ = [
     "ENGINE_VERSION",
     "DiagramError",
     "FloorDiagram",
-    "FloorProfile",
     "HPolygon",
     "InvariantError",
     "InvariantKey",

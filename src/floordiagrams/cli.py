@@ -18,12 +18,13 @@ import os
 import sys
 
 from .fixtures import read_json, reference_rows
-from .floordiag import enumerate_diagrams, refined_invariant
+from .floordiag import diagram_sum, diagram_terms, refined_invariant
 from .invariants import (
     CACHE_ENV_VAR,
     ENGINE_VERSION,
     InvariantError,
     InvariantKey,
+    InvariantRecord,
     InvariantTable,
     max_pairs,
 )
@@ -85,7 +86,7 @@ def _load_polygon(args):
     return HPolygon.from_json_dict(read_json(args.polygon_file)), args.polygon_file
 
 
-def _diagram_payload(dia) -> dict:
+def _diagram_payload(dia, multiplicity, markings) -> dict:
     return {
         "floors": dia.floors,
         "elevators": [list(e) for e in dia.elevators],
@@ -93,8 +94,8 @@ def _diagram_payload(dia) -> dict:
         "top_ends": list(dia.top_ends),
         "divergences": list(dia.divergences),
         "slope_orderings": dia.assignments,
-        "multiplicity": dia.refined_multiplicity().to_json_dict(),
-        "markings": dia.marking_count(),
+        "multiplicity": multiplicity.to_json_dict(),
+        "markings": markings,
     }
 
 
@@ -110,12 +111,18 @@ def run_compute(args) -> int:
     records = []
     for genus in genus_span:
         for pairs in pairs_span:
-            try:
-                rec = table.record(polygon, genus, pairs)
-            except InvariantError as err:
-                if max(pairs_span) > 0:
-                    err.trace = table.recursion_trace(polygon, max(pairs_span))
-                raise
+            if args.list_diagrams:
+                # a pairs = 0 record is exactly this sum and never extrapolated
+                terms = diagram_terms(polygon, genus)
+                rec = InvariantRecord(diagram_sum(terms), False)
+            else:
+                terms = ()
+                try:
+                    rec = table.record(polygon, genus, pairs)
+                except InvariantError as err:
+                    if max(pairs_span) > 0:
+                        err.trace = table.recursion_trace(polygon, max(pairs_span))
+                    raise
             entry = {
                 "polygon": label,
                 "vertices": [list(v) for v in polygon.vertices],
@@ -124,10 +131,9 @@ def run_compute(args) -> int:
                 "invariant": rec.value.to_json_dict(),
                 "extrapolated": rec.extrapolated,
             }
-            diagrams = enumerate_diagrams(polygon, genus) if args.list_diagrams else ()
             if args.list_diagrams and args.emit == "json":
-                entry["diagrams"] = [_diagram_payload(dia) for dia in diagrams]
-            records.append((entry, rec.value, diagrams))
+                entry["diagrams"] = [_diagram_payload(*term) for term in terms]
+            records.append((entry, rec.value, terms))
     if args.emit == "json":
         payload = {"engine": ENGINE_VERSION, "results": [entry for entry, _, _ in records]}
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -137,15 +143,15 @@ def run_compute(args) -> int:
             for exp, coeff in entry["invariant"].items():
                 print(f"{entry['polygon']},{entry['genus']},{entry['pairs']},{exp},{coeff}")
     else:
-        for entry, value, diagrams in records:
+        for entry, value, terms in records:
             flag = "  [extrapolated]" if entry["extrapolated"] else ""
             print(f"{entry['polygon']} g={entry['genus']} s={entry['pairs']}: {value}{flag}")
-            for dia in diagrams:
+            for dia, multiplicity, markings in terms:
                 print(
                     f"  elevators={[list(e) for e in dia.elevators]} "
                     f"bottom={list(dia.bottom_ends)} top={list(dia.top_ends)} "
-                    f"div={list(dia.divergences)} multiplicity={dia.refined_multiplicity()} "
-                    f"markings={dia.marking_count()} orderings={dia.assignments}"
+                    f"div={list(dia.divergences)} multiplicity={multiplicity} "
+                    f"markings={markings} orderings={dia.assignments}"
                 )
     return 0
 
@@ -218,12 +224,7 @@ def _check_symmetry() -> dict:
             # direct enumeration on each embedding, no canonicalization
             if refined_invariant(rect, genus) != refined_invariant(swapped, genus):
                 failures.append({"shape": [a, b], "genus": genus})
-    return {
-        "identity": "symmetry",
-        "checked": checked,
-        "failures": failures,
-        "passed": not failures,
-    }
+    return surgery.identity_report("symmetry", checked, failures)
 
 
 def _check_monotone(table) -> dict:
@@ -245,12 +246,7 @@ def _check_monotone(table) -> dict:
                             {"polygon": spec, "s": s, "exponent": exp, "reason": "increase"}
                         )
             prev = coeffs
-    return {
-        "identity": "monotone-s",
-        "checked": checked,
-        "failures": failures,
-        "passed": not failures,
-    }
+    return surgery.identity_report("monotone-s", checked, failures)
 
 
 def _check_independence(table) -> dict:
@@ -265,12 +261,7 @@ def _check_independence(table) -> dict:
                 failures.append(
                     {"polygon": spec, "s": s, "values": [v.to_json_dict() for v in values]}
                 )
-    return {
-        "identity": "cut-independence",
-        "checked": checked,
-        "failures": failures,
-        "passed": not failures,
-    }
+    return surgery.identity_report("cut-independence", checked, failures)
 
 
 def _check_conjecture(table) -> dict:
@@ -281,14 +272,10 @@ def _check_conjecture(table) -> dict:
         {"a": a, "b": b, "genus": g, "pairs": s, "reason": "pair recursion stuck"}
         for a, b, g, s in CONJECTURE_SKIPPED
     ]
-    return {
-        "identity": "conj-quadric",
-        "instances": instances,
-        "skipped": skipped,
-        "checked": len(instances),
-        "failures": [i for i in instances if not i["passed"]],
-        "passed": all(i["passed"] for i in instances),
-    }
+    failures = [i for i in instances if not i["passed"]]
+    return surgery.identity_report(
+        "conj-quadric", len(instances), failures, instances=instances, skipped=skipped
+    )
 
 
 # name -> check(table)
@@ -304,33 +291,27 @@ IDENTITIES = tuple(IDENTITY_CHECKS)
 
 
 def run_verify(args) -> int:
-    if args.suite:
-        names = IDENTITIES if args.suite != "appendix" else ()
-        replay = args.suite != "identities"
-    elif args.identity:
-        names, replay = args.identity, False
-    else:
-        raise ValueError("verify needs --identity or --suite")
     table = InvariantTable(cache_path=args.cache)
-    reports = [IDENTITY_CHECKS[name](table) for name in names]
-    appendix_exit = _replay(table, reference_rows(args.fixtures), args.emit) if replay else 0
+    reports = [IDENTITY_CHECKS[name](table) for name in args.identity or IDENTITIES]
+    appendix_exit = 0
+    if args.suite == "all":
+        appendix_exit = _replay(table, reference_rows(args.fixtures), args.emit)
     payload = {
         "engine": ENGINE_VERSION,
         "reports": reports,
         "passed": all(r["passed"] for r in reports),
     }
-    if reports:
-        if args.emit == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            for report in reports:
-                mark = "pass" if report["passed"] else "FAIL"
-                extras = ""
-                if report.get("skipped"):
-                    extras = f", {len(report['skipped'])} skipped"
-                print(f"{mark}  {report['identity']} ({report['checked']} checked{extras})")
-                for failure in report["failures"]:
-                    print(f"      {failure}")
+    if args.emit == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for report in reports:
+            mark = "pass" if report["passed"] else "FAIL"
+            extras = ""
+            if report.get("skipped"):
+                extras = f", {len(report['skipped'])} skipped"
+            print(f"{mark}  {report['identity']} ({report['checked']} checked{extras})")
+            for failure in report["failures"]:
+                print(f"      {failure}")
     if not payload["passed"] or appendix_exit:
         return 1
     return 0
@@ -386,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     compute.set_defaults(func=run_compute)
 
     verify = sub.add_parser("verify", help="run identity suites")
-    verify.add_argument("--identity", action="append", choices=IDENTITIES)
-    verify.add_argument("--suite", choices=("identities", "appendix", "all"))
+    selection = verify.add_mutually_exclusive_group(required=True)
+    selection.add_argument("--identity", action="append", choices=IDENTITIES)
+    selection.add_argument("--suite", choices=("identities", "all"))
     verify.add_argument("--fixtures", help="alternative golden-table JSON file")
     verify.add_argument("--emit", choices=("text", "json"), default="text")
     verify.set_defaults(func=run_verify)

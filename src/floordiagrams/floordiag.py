@@ -194,8 +194,8 @@ def enumerate_diagrams(polygon, genus: int) -> tuple[FloorDiagram, ...]:
         raise DiagramError("genus must be >= 0")
     if polygon.height > MAX_HEIGHT:
         raise DiagramError(f"height {polygon.height} is above the bound of {MAX_HEIGHT}")
-    profile = polygon.floor_profile()
-    h = profile.height
+    widths = polygon.floor_profile()
+    h = len(widths) - 1
     n_elev = genus + h - 1
 
     def extend(div, k, bot_left, top_left, incoming, bots, tops, elevs):
@@ -222,7 +222,7 @@ def enumerate_diagrams(polygon, genus: int) -> tuple[FloorDiagram, ...]:
 
     found = []
     for div, weight in divergence_sequences(polygon):
-        walk = extend(div, 1, profile.d_bottom, profile.d_top, [0] * (h + 1), (), (), ())
+        walk = extend(div, 1, widths[0], widths[-1], [0] * (h + 1), (), (), ())
         for elevs, bots, tops in walk:
             dia = FloorDiagram(h, tuple(sorted(elevs)), bots, tops, div, weight)
             if dia.is_connected():
@@ -230,11 +230,22 @@ def enumerate_diagrams(polygon, genus: int) -> tuple[FloorDiagram, ...]:
     return tuple(sorted(found))
 
 
+def diagram_terms(polygon, genus: int) -> tuple[tuple[FloorDiagram, LaurentPoly, int], ...]:
+    """(diagram, refined multiplicity, marking count) for every genus-g diagram."""
+    return tuple(
+        (dia, dia.refined_multiplicity(), dia.marking_count())
+        for dia in enumerate_diagrams(polygon, genus)
+    )
+
+
+def diagram_sum(terms) -> LaurentPoly:
+    """Sum of multiplicity times markings times slope assignments over the terms."""
+    total = LaurentPoly.zero()
+    for dia, multiplicity, markings in terms:
+        total = total + multiplicity * (markings * dia.assignments)
+    return total
+
+
 def refined_invariant(polygon, genus: int) -> LaurentPoly:
     """Refined genus-g count: sum of multiplicity times markings over diagrams."""
-    total = LaurentPoly.zero()
-    for dia in enumerate_diagrams(polygon, genus):
-        total = total + dia.refined_multiplicity() * (
-            dia.marking_count() * dia.assignments
-        )
-    return total
+    return diagram_sum(diagram_terms(polygon, genus))

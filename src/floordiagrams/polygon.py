@@ -8,7 +8,6 @@ are the Newton polygons on which floor diagrams compute curve counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 
@@ -59,25 +58,6 @@ def _clean_loop(points) -> list[tuple[int, int]]:
                 changed = True
                 break
     return pts
-
-
-@dataclass(frozen=True)
-class FloorProfile:
-    """Widths of a polygon at integer heights, bottom to top."""
-
-    widths: tuple[int, ...]
-
-    @property
-    def height(self) -> int:
-        return len(self.widths) - 1
-
-    @property
-    def d_bottom(self) -> int:
-        return self.widths[0]
-
-    @property
-    def d_top(self) -> int:
-        return self.widths[-1]
 
 
 class HPolygon:
@@ -210,7 +190,8 @@ class HPolygon:
         """Number of point constraints pinning a genus-g curve: |boundary| - 1 + g."""
         return self.boundary_lattice_count() - 1 + genus
 
-    def floor_profile(self) -> FloorProfile:
+    def floor_profile(self) -> tuple[int, ...]:
+        """Widths of the polygon at integer heights, bottom to top."""
         h = self.height
         xmin = [None] * (h + 1)
         xmax = [None] * (h + 1)
@@ -225,7 +206,7 @@ class HPolygon:
                     xmax[y] = x
         if any(lo is None for lo in xmin):
             raise PolygonError("missing lattice row")  # cannot happen when h-transverse
-        return FloorProfile(tuple(xmax[y] - xmin[y] for y in range(h + 1)))
+        return tuple(xmax[y] - xmin[y] for y in range(h + 1))
 
     def end_slopes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Vertical slopes of the left and right unbounded curve ends.

@@ -36,31 +36,35 @@ def u_coeff(m: int, k: int) -> int:
 
 # -- identity checks ---------------------------------------------------------
 
+# the coefficient identities are checked for every index up to this bound
+BOUND = 12
+
 
 def u_inversion_sum(m: int, n: int) -> int:
     """sum_{k=0}^{n} u(m, k) C(m + 2n, n - k); equals 1 at n = 0, else 0."""
     return sum(u_coeff(m, k) * binom(m + 2 * n, n - k) for k in range(n + 1))
 
 
-def check_u_inversion(max_m: int = 12, max_n: int = 12) -> dict:
-    """Verify the inversion identity for all 0 <= m, n <= the bounds."""
-    failures = []
-    checked = 0
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            got = u_inversion_sum(m, n)
-            want = 1 if n == 0 else 0
-            checked += 1
-            if got != want:
-                failures.append({"m": m, "n": n, "got": got, "want": want})
+def identity_report(identity: str, checked: int, failures: list, **extra) -> dict:
+    """The report of one identity check; it passes when nothing failed."""
     return {
-        "identity": "u-inversion",
-        "max_m": max_m,
-        "max_n": max_n,
+        "identity": identity,
+        **extra,
         "checked": checked,
         "failures": failures,
         "passed": not failures,
     }
+
+
+def check_u_inversion() -> dict:
+    """Verify the inversion identity for all 0 <= m, n <= BOUND."""
+    cases = [(m, n) for m in range(BOUND + 1) for n in range(BOUND + 1)]
+    failures = [
+        {"m": m, "n": n, "got": got, "want": want}
+        for m, n in cases
+        if (got := u_inversion_sum(m, n)) != (want := 1 if n == 0 else 0)
+    ]
+    return identity_report("u-inversion", len(cases), failures, max_m=BOUND, max_n=BOUND)
 
 
 def mainproof_coeff(l: int, b: int, beta: int) -> int:
@@ -75,24 +79,15 @@ def mainproof_sum(l: int, b: int) -> int:
     return sum(mainproof_coeff(l, b, beta) * binom(b, beta) for beta in range(b + 1))
 
 
-def check_mainproof_coeffs(max_l: int = 12) -> dict:
-    """Verify sum_beta coeff * C(b, beta) is 0 for l > b and (-2)^l for l = b."""
-    failures = []
-    checked = 0
-    for l in range(max_l + 1):
-        for b in range(l + 1):
-            got = mainproof_sum(l, b)
-            want = (-2) ** l if l == b else 0
-            checked += 1
-            if got != want:
-                failures.append({"l": l, "b": b, "got": got, "want": want})
-    return {
-        "identity": "main-proof",
-        "max_l": max_l,
-        "checked": checked,
-        "failures": failures,
-        "passed": not failures,
-    }
+def check_mainproof_coeffs() -> dict:
+    """Verify sum_beta coeff * C(b, beta) is 0 for l > b and (-2)^l for l = b <= BOUND."""
+    cases = [(l, b) for l in range(BOUND + 1) for b in range(l + 1)]
+    failures = [
+        {"l": l, "b": b, "got": got, "want": want}
+        for l, b in cases
+        if (got := mainproof_sum(l, b)) != (want := (-2) ** l if l == b else 0)
+    ]
+    return identity_report("main-proof", len(cases), failures, max_l=BOUND)
 
 
 def check_increase(values, sphere) -> dict:
@@ -118,12 +113,7 @@ def check_increase(values, sphere) -> dict:
         rows.append(row)
         if abs(after) < abs(values[d]):
             failures.append(row)
-    return {
-        "identity": "increase",
-        "rows": rows,
-        "failures": failures,
-        "passed": not failures,
-    }
+    return identity_report("increase", len(rows), failures, rows=rows)
 
 
 # -- the quadric-degeneration identity ----------------------------------------

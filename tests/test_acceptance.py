@@ -149,8 +149,8 @@ def test_criterion_4_worked_decomposition(table):
 
 def test_criterion_5_identity_suites():
     started = time.monotonic()
-    inversion = check_u_inversion(12, 12)
-    mainproof = check_mainproof_coeffs(12)
+    inversion = check_u_inversion()
+    mainproof = check_mainproof_coeffs()
     elapsed = time.monotonic() - started
     assert inversion["passed"] and inversion["checked"] == 169
     assert mainproof["passed"] and mainproof["checked"] == 91
@@ -265,5 +265,5 @@ def test_criterion_8_substitution_documented():
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     text = readme.read_text(encoding="utf-8")
     assert "## Scope of verification" in text
-    assert check_u_inversion(12, 12)["passed"]
-    assert check_mainproof_coeffs(12)["passed"]
+    assert check_u_inversion()["passed"]
+    assert check_mainproof_coeffs()["passed"]

@@ -51,3 +51,21 @@ def test_traced_requests_reach_every_wrapper(capsys):
     }
     assert counts["cli.requests"] == 2
     assert all(counts[name] for name in counts.keys() - idle), counts
+
+
+def test_traced_verify_and_listing_reach_the_surgery_and_floordiag_wrappers(capsys):
+    tracer = load_tracer()
+    try:
+        tracer.install(MODULES)
+        codes = (
+            cli.main(["verify", "--suite", "identities"]),
+            cli.main(["compute", "--polygon", "rect:2,2", "--list-diagrams"]),
+        )
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == (0, 0)
+    counts = tracer.counts()
+    # u-inversion, main-proof and one call per conjecture instance
+    assert counts["surgery.check.calls"] == 2 + len(cli.CONJECTURE_INSTANCES) == 29
+    assert counts["floordiag.markings.calls"] > 0

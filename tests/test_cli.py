@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from floordiagrams import cli
+from floordiagrams import cli, floordiag, surgery
 from floordiagrams.invariants import (
     CACHE_ENV_VAR,
     ENGINE_VERSION,
@@ -86,6 +86,32 @@ def test_compute_list_diagrams(capsys):
     )
     payload = json.loads(out)
     assert len(payload["results"][0]["diagrams"]) == 3
+
+
+def test_compute_list_diagrams_evaluates_each_cell_once(capsys, tmp_path, monkeypatch):
+    calls = {"enumerate": 0, "markings": 0}
+    enumerate_diagrams = floordiag.enumerate_diagrams
+    marking_count = floordiag.FloorDiagram.marking_count
+
+    def counting_enumerate(*args):
+        calls["enumerate"] += 1
+        return enumerate_diagrams(*args)
+
+    def counting_markings(self):
+        calls["markings"] += 1
+        return marking_count(self)
+
+    monkeypatch.setattr(floordiag, "enumerate_diagrams", counting_enumerate)
+    monkeypatch.setattr(floordiag.FloorDiagram, "marking_count", counting_markings)
+    path = tmp_path / "cache.jsonl"
+    code, out, _ = run(
+        capsys, "--cache", str(path), "compute", "--polygon", "rect:2,2", "--list-diagrams"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "rect:2,2 g=0 s=0: q^-1 + 10 + q"
+    assert calls == {"enumerate": 1, "markings": 3}
+    # a listed cell is its diagram sum and is not written to the cache
+    assert not path.exists()
 
 
 def test_compute_polygon_file(capsys, tmp_path):
@@ -345,9 +371,40 @@ def test_verify_conj_quadric_fails_on_a_wrong_cached_trapezoid(capsys, tmp_path)
 
 
 def test_verify_needs_a_selection(capsys):
-    code, _, err = run(capsys, "verify")
-    assert code == 2
-    assert "error:" in err
+    # exactly one of --suite and --identity, refused by the parser
+    for argv in ((), ("--suite", "identities", "--identity", "u-inversion")):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", *argv])
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_verify_suite_appendix_is_gone(capsys):
+    # `appendix` prints the same replay
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--suite", "appendix"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'appendix'" in capsys.readouterr().err
+
+
+def test_every_identity_reports_its_name_and_passes_when_nothing_failed(table):
+    for name in cli.IDENTITIES:
+        report = cli.IDENTITY_CHECKS[name](table)
+        assert report["identity"] == name
+        assert report["passed"] == (report["failures"] == [])
+        assert report["checked"] > 0
+
+
+def test_verify_reports_a_failing_identity(capsys, monkeypatch):
+    monkeypatch.setattr(surgery, "u_inversion_sum", lambda m, n: 7)
+    code, out, _ = run(capsys, "verify", "--identity", "u-inversion")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL  u-inversion (169 checked)"
+    assert lines[1] == "      {'m': 0, 'n': 0, 'got': 7, 'want': 1}"
+    assert len(lines) == 1 + 169
+    failure = surgery.check_u_inversion()["failures"][-1]
+    assert list(failure) == ["m", "n", "got", "want"]
 
 
 def test_cache_cli_flow(capsys, tmp_path):

@@ -202,8 +202,8 @@ def brute_force_diagrams(polygon, genus: int) -> tuple[FloorDiagram, ...]:
     that the elevators crossing above floor k weigh sum(bot - top - div) over
     those floors, at most d_bottom - sum(div[:k]); every elevator (i, j, w)
     crosses above floor i, so that maximum over k < h bounds w."""
-    profile = polygon.floor_profile()
-    h, d_bottom, d_top = profile.height, profile.d_bottom, profile.d_top
+    widths = polygon.floor_profile()
+    h, d_bottom, d_top = len(widths) - 1, widths[0], widths[-1]
     # (bottom ends, top ends) placements, keyed by bot_k - top_k on each floor
     placements = defaultdict(list)
     for bots in product(range(d_bottom + 1), repeat=h):

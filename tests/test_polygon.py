@@ -83,13 +83,9 @@ def test_rectangle_counts_closed_form(a, b):
 
 
 def test_floor_profile():
-    assert HPolygon.rectangle(3, 2).floor_profile().widths == (3, 3, 3)
-    assert HPolygon.sigma2_trapezoid(2, 1).floor_profile().widths == (5, 3, 1)
-    prof = HPolygon.p2_triangle(3).floor_profile()
-    assert prof.widths == (3, 2, 1, 0)
-    assert prof.height == 3
-    assert prof.d_bottom == 3
-    assert prof.d_top == 0
+    assert HPolygon.rectangle(3, 2).floor_profile() == (3, 3, 3)
+    assert HPolygon.sigma2_trapezoid(2, 1).floor_profile() == (5, 3, 1)
+    assert HPolygon.p2_triangle(3).floor_profile() == (3, 2, 1, 0)
 
 
 def test_end_slopes():

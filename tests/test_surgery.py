@@ -38,7 +38,7 @@ def test_u_inversion():
     assert u_inversion_sum(0, 0) == 1
     assert u_inversion_sum(0, 1) == 0
     assert u_inversion_sum(1, 2) == 0
-    report = check_u_inversion(12, 12)
+    report = check_u_inversion()
     assert report["passed"]
     assert report["checked"] == 13 * 13
     assert report["failures"] == []
@@ -51,7 +51,7 @@ def test_mainproof_coefficients():
     assert mainproof_sum(2, 1) == 0
     assert mainproof_sum(2, 2) == 4
     assert mainproof_sum(3, 3) == -8
-    report = check_mainproof_coeffs(12)
+    report = check_mainproof_coeffs()
     assert report["passed"]
     assert report["failures"] == []
 
@@ -71,6 +71,7 @@ def test_check_increase():
     assert report["rows"][0] == {"class": [2, 2], "before": 1, "after": -1}
     report = check_increase({(2, 2): 6, (3, 1): 1, (1, 3): 1}, QH_SPHERE)
     assert [r["after"] for r in report["rows"]] == [-9, 4, 1]
+    assert report["checked"] == 3
     # (3, 1) is missing from the middle of the range and counts as 0
     report = check_increase({(2, 2): 5, (4, 0): 1}, QH_SPHERE)
     assert report["rows"][0] == {"class": [2, 2], "before": 5, "after": 7}
