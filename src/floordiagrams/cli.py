@@ -221,7 +221,7 @@ def _check_symmetry() -> dict:
         swapped = HPolygon.rectangle(b, a)
         for genus in range(rect.interior_lattice_count() + 1):
             checked += 1
-            # direct enumeration on each embedding, no canonicalization
+            # direct evaluation on each embedding, no canonicalization
             if refined_invariant(rect, genus) != refined_invariant(swapped, genus):
                 failures.append({"shape": [a, b], "genus": genus})
     return surgery.identity_report("symmetry", checked, failures)
@@ -291,6 +291,8 @@ IDENTITIES = tuple(IDENTITY_CHECKS)
 
 
 def run_verify(args) -> int:
+    if args.fixtures and args.suite != "all":
+        raise ValueError("--fixtures only applies to --suite all")
     table = InvariantTable(cache_path=args.cache)
     reports = [IDENTITY_CHECKS[name](table) for name in args.identity or IDENTITIES]
     appendix_exit = 0
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     appendix.add_argument(
         "--genus-only",
         action="store_true",
-        help="only rows with pairs = 0 (pure diagram enumeration)",
+        help="only rows with pairs = 0 (direct floor-diagram counts)",
     )
     appendix.add_argument("--emit", choices=("text", "json"), default="text")
     appendix.set_defaults(func=run_appendix)

@@ -12,6 +12,11 @@ fixes the divergence (net downward elevator flow) of each floor.  When the
 boundary slopes are constant the assignment is unique and the divergences are
 just the width differences of consecutive rows, but polygons with mixed
 boundary slopes admit several assignments and each contributes diagrams.
+
+refined_invariant sums multiplicity times markings over all diagrams with a
+transfer walk up the gaps and floors that never builds a diagram.
+enumerate_diagrams, FloorDiagram.marking_count and diagram_sum give the same
+sum diagram by diagram; they serve compute --list-diagrams and the tests.
 """
 
 from __future__ import annotations
@@ -19,15 +24,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
+from itertools import product
+from math import comb, factorial
 
 from .laurent import LaurentPoly, quantum_integer
 
-# tallest polygon enumerate_diagrams accepts.  Enumeration time follows the
-# diagram count: rect:1,64 takes 0.01 s, but rect:2,h grows about 2.3-fold per
-# row (rect:2,12 takes 4 s, rect:2,14 21 s), and past about 300 rows the
-# marking walk, which recurses once per placed element, overflows the Python
-# stack.  A taller polygon is refused before anything is enumerated.
+# tallest polygon accepted.  The transfer walk behind refined_invariant takes
+# 0.004 s on rect:1,64 and 0.07 s on rect:2,14, but enumerate_diagrams
+# (listing) builds every diagram, about 2.3 times more per row of rect:2,h
+# (rect:2,14 takes 21 s), and past about 300 rows the marking walk, which
+# recurses once per placed element, overflows the Python stack.  A taller
+# polygon is refused before anything is computed.
 MAX_HEIGHT = 64
 
 
@@ -246,6 +253,146 @@ def diagram_sum(terms) -> LaurentPoly:
     return total
 
 
+_ONE = ((0, 1),)
+
+
+@cache
+def _emissions(flow: int, most: int, least: int = 1) -> tuple:
+    """(weight counts, elevator count, multiplicity) for every multiset of at
+    most `most` elevator weights, each >= least, that sum to flow; the
+    multiplicity is the product of [w]^2 as (exponent, coefficient) pairs."""
+    if flow == 0:
+        return (((), 0, _ONE),)
+    if most == 0:
+        return ()
+    out = []
+    for w in range(least, flow + 1):
+        square = tuple((e, w - abs(e)) for e in range(1 - w, w))
+        for counts, n, mult in _emissions(flow - w, most - 1, w):
+            if counts and counts[0][0] == w:
+                counts = ((w, counts[0][1] + 1),) + counts[1:]
+            else:
+                counts = ((w, 1),) + counts
+            out.append((counts, n + 1, tuple(_times(dict(mult), square, 1, {}).items())))
+    return tuple(out)
+
+
+def _times(poly: dict, factor: tuple, ways: int, into: dict) -> dict:
+    """Adds poly * factor * ways into `into` and returns it; poly and into
+    are {exponent: coefficient} dicts, factor (exponent, coefficient) pairs."""
+    for e2, d in factor:
+        d *= ways
+        for e, c in poly.items():
+            into[e + e2] = into.get(e + e2, 0) + c * d
+    return into
+
+
+def _gap_step(states: dict, last: bool) -> dict:
+    """Places a sub-multiset of the unplaced elements in the gap, all of them
+    in the gap below the top floor, in any of the n!/prod(a!) orders of its
+    identical elements; once placed an element is told apart by its mark."""
+    out = {}
+    for (unplaced, placed, *rest), poly in states.items():
+        for picks in product(*((c,) if last else range(c + 1) for _, c in unplaced)):
+            ways, left, now = factorial(sum(picks)), [], dict(placed)
+            for ((src, w, comp), c), a in zip(unplaced, picks):
+                if a:
+                    ways //= factorial(a)
+                    now[w, comp] = now.get((w, comp), 0) + a
+                if a < c:
+                    left.append(((src, w, comp), c - a))
+            key = (tuple(left), tuple(sorted(now.items())), *rest)
+            _times(poly, _ONE, ways, out.setdefault(key, {}))
+    return out
+
+
+def _relabel(items: tuple, merged: set, label: int) -> tuple:
+    """(kind..., component) counts with every component in merged renamed label."""
+    out = {}
+    for (*kind, comp), c in items:
+        key = (*kind, label if comp in merged else comp)
+        out[key] = out.get(key, 0) + c
+    return tuple(sorted(out.items()))
+
+
+def _floor_step(states: dict, f: int, h: int, n_elev: int, need: int) -> dict:
+    """Floor f takes a sub-multiset of the placed elements as its incoming
+    ends and elevators, one left and one right slope, t top ends and
+    elevators whose weights carry the flow that is left; the top floor takes
+    everything that is waiting and emits nothing."""
+    last = f == h
+    out = {}
+    for (unplaced, placed, used, tops, lefts, rights), poly in states.items():
+        # non-top elements above floor f: floors, elevators not yet emitted
+        # and elements not yet placed
+        above = h - f + n_elev - used + sum(c for _, c in unplaced)
+        for picks in product(*((c,) if last else range(c + 1) for _, c in placed)):
+            ways, inflow, merged, waiting = 1, 0, set(), []
+            for ((w, comp), c), b in zip(placed, picks):
+                if b:
+                    ways *= comb(c, b)
+                    inflow += b * w
+                    if comp:
+                        merged.add(comp)
+                if b < c:
+                    waiting.append(((w, comp), c - b))
+            # the floor joins the components of its elevators; a component
+            # is named by its lowest floor and bottom ends belong to none (0)
+            label = min(merged, default=f)
+            left, waiting = unplaced, tuple(waiting)
+            if len(merged) > 1:
+                left, waiting = _relabel(left, merged, label), _relabel(waiting, merged, label)
+            pending = any(k[-1] == label for k, _ in left + waiting)
+            for a in set(lefts):
+                i = lefts.index(a)
+                for b in set(rights):
+                    j = rights.index(b)
+                    rest = (lefts[:i] + lefts[i + 1 :], rights[:j] + rights[j + 1 :])
+                    for t in (tops,) if last else range(tops + 1):
+                        flow = inflow - t - a - b
+                        if flow < 0 or last and flow:
+                            continue
+                        # the t top ends go among the non-top elements and
+                        # the later floors' top ends above floor f
+                        top_ways = ways * comb(above + tops, t)
+                        for counts, n, mult in _emissions(flow, min(flow, n_elev - used)):
+                            # a floor below the top must leave its component
+                            # something crossing above it
+                            if (last or n or pending) and used + n >= need:
+                                emitted = tuple(((f, w, label), c) for w, c in counts)
+                                key = (left + emitted, waiting, used + n, tops - t, *rest)
+                                _times(poly, mult, top_ways, out.setdefault(key, {}))
+    return out
+
+
 def refined_invariant(polygon, genus: int) -> LaurentPoly:
-    """Refined genus-g count: sum of multiplicity times markings over diagrams."""
-    return diagram_sum(diagram_terms(polygon, genus))
+    """Refined genus-g count: the sum of multiplicity times markings over all
+    diagrams, by a transfer walk that never builds a diagram.
+
+    A marking orders the floors, then every elevator and end in one gap
+    between the floors its endpoints allow.  The walk runs up gap 0, floor 1,
+    gap 1, ..., floor h and keeps, for each partial marking, the unplaced
+    elements counted by (source floor, weight, component), bottom ends as
+    (0, 1, 0); the placed elements still waiting for their upper floor,
+    counted by (weight, component); the elevators emitted so far; the top
+    ends left; and the left and right slopes still to assign, so that every
+    divergence sequence shares the walk.  Each state holds its partial sum
+    as {exponent: coefficient}.  Top ends never enter a state: the floor
+    that emits them counts their places among the elements above it.
+    """
+    if genus < 0:
+        raise DiagramError("genus must be >= 0")
+    if polygon.height > MAX_HEIGHT:
+        raise DiagramError(f"height {polygon.height} is above the bound of {MAX_HEIGHT}")
+    widths = polygon.floor_profile()
+    h = len(widths) - 1
+    n_elev = genus + h - 1
+    unplaced = (((0, 1, 0), widths[0]),) if widths[0] else ()
+    states = {(unplaced, (), 0, widths[-1], *polygon.end_slopes()): {0: 1}}
+    for f in range(1, h + 1):
+        # an elevator from floor k crosses above it, where no assignment of
+        # the slopes is wider than the polygon's row k, so the floors
+        # f+1..h-1 emit at most sum(widths[f + 1 : h]) elevators
+        need = n_elev - sum(widths[f + 1 : h])
+        states = _floor_step(_gap_step(states, f == h), f, h, n_elev, need)
+    return LaurentPoly(next(iter(states.values()), {}))

@@ -7,6 +7,13 @@ from floordiagrams import cli, fixtures, floordiag, invariants, laurent, polygon
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 MODULES = [cli, fixtures, invariants, polygon, floordiag, laurent, surgery]
+# counters that only enumerate_diagrams and the FloorDiagram methods feed
+ENUMERATOR_COUNTERS = (
+    "floordiag.divergence.",
+    "floordiag.enumerate.",
+    "floordiag.markings.",
+    "floordiag.multiplicity.",
+)
 
 
 def load_tracer():
@@ -43,13 +50,18 @@ def test_traced_requests_reach_every_wrapper(capsys):
     capsys.readouterr()
     assert codes == (0, 2)
     counts = tracer.counts()
-    # the harness counts output bytes; no cache, fixture or surgery path is taken
+    # the harness counts output bytes; no cache, fixture or surgery path is
+    # taken, and a plain compute sums diagrams by the transfer walk, so the
+    # enumerator's divergence, listing, marking and multiplicity wrappers
+    # stay idle (the listing test below reaches them)
     idle = {
         name
         for name in counts
         if name.startswith(("cli.std", "fixtures.", "invariants.cache.", "surgery."))
+        or name.startswith(ENUMERATOR_COUNTERS)
     }
     assert counts["cli.requests"] == 2
+    assert counts["invariants.direct.calls"] > 0
     assert all(counts[name] for name in counts.keys() - idle), counts
 
 
@@ -68,4 +80,6 @@ def test_traced_verify_and_listing_reach_the_surgery_and_floordiag_wrappers(caps
     counts = tracer.counts()
     # u-inversion, main-proof and one call per conjecture instance
     assert counts["surgery.check.calls"] == 2 + len(cli.CONJECTURE_INSTANCES) == 29
-    assert counts["floordiag.markings.calls"] > 0
+    enumerator = [name for name in counts if name.startswith(ENUMERATOR_COUNTERS)]
+    assert len(enumerator) == 7
+    assert all(counts[name] for name in enumerator), counts

@@ -387,6 +387,18 @@ def test_verify_suite_appendix_is_gone(capsys):
     assert "invalid choice: 'appendix'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "selection", [("--identity", "u-inversion"), ("--suite", "identities")]
+)
+def test_verify_fixtures_needs_suite_all(capsys, tmp_path, selection):
+    # only --suite all replays a table; the file is refused before it is read
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "verify", *selection, "--fixtures", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --fixtures only applies to --suite all\n"
+
+
 def test_every_identity_reports_its_name_and_passes_when_nothing_failed(table):
     for name in cli.IDENTITIES:
         report = cli.IDENTITY_CHECKS[name](table)

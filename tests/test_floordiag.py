@@ -2,13 +2,15 @@ from collections import Counter, defaultdict
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floordiagrams.floordiag import (
     MAX_HEIGHT,
     DiagramError,
     FloorDiagram,
+    diagram_sum,
+    diagram_terms,
     divergence_sequences,
     enumerate_diagrams,
     refined_invariant,
@@ -165,14 +167,17 @@ def test_genus_range():
     assert refined_invariant(HPolygon.rectangle(3, 3), 4) == LaurentPoly.one()
     assert not refined_invariant(HPolygon.rectangle(3, 3), 5)
     assert refined_invariant(HPolygon.p2_triangle(3), 1) == LaurentPoly.one()
-    with pytest.raises(DiagramError):
-        enumerate_diagrams(HPolygon.rectangle(2, 2), -1)
+    for route in (refined_invariant, enumerate_diagrams):
+        with pytest.raises(DiagramError, match="genus must be >= 0"):
+            route(HPolygon.rectangle(2, 2), -1)
 
 
 def test_height_bound():
-    # the marking walk recurses once per element; 300 rows would overflow the stack
-    with pytest.raises(DiagramError, match=f"height 300 is above the bound of {MAX_HEIGHT}"):
-        refined_invariant(HPolygon.rectangle(1, 300), 0)
+    # listing's marking walk recurses once per element, so 300 rows would
+    # overflow the stack; the value route refuses the same heights
+    for route in (refined_invariant, enumerate_diagrams):
+        with pytest.raises(DiagramError, match=f"height 300 is above the bound of {MAX_HEIGHT}"):
+            route(HPolygon.rectangle(1, 300), 0)
     assert refined_invariant(HPolygon.rectangle(1, MAX_HEIGHT), 0) == LaurentPoly.one()
 
 
@@ -232,6 +237,22 @@ def brute_force_diagrams(polygon, genus: int) -> tuple[FloorDiagram, ...]:
     return tuple(sorted(found))
 
 
+def polygon_from_steps(bottom: int, left, right) -> HPolygon:
+    """The polygon whose bottom row is 0..bottom and whose left and right
+    sides move by the given steps per row, bottom to top."""
+    xs = [(0, bottom)]
+    for a, b in zip(left, right):
+        xs.append((xs[-1][0] + a, xs[-1][1] + b))
+    boundary = [(l, y) for y, (l, _) in enumerate(xs)][::-1]
+    boundary += [(r, y) for y, (_, r) in enumerate(xs)]
+    return HPolygon(boundary)
+
+
+def row_widths(bottom: int, left, right) -> list[int]:
+    """Row widths of polygon_from_steps(bottom, left, right), bottom to top."""
+    return [bottom + sum(right[:k]) - sum(left[:k]) for k in range(len(left) + 1)]
+
+
 def small_polygons() -> list[HPolygon]:
     """Every h-transverse polygon of height <= 3 and row widths <= 3 whose
     sides step by -1, 0 or 1 per row: left steps rise, right steps fall."""
@@ -241,15 +262,10 @@ def small_polygons() -> list[HPolygon]:
             for right in product((1, 0, -1), repeat=h):
                 if list(left) != sorted(left) or list(right) != sorted(right, reverse=True):
                     continue
-                xs = [(0, bottom)]
-                for a, b in zip(left, right):
-                    xs.append((xs[-1][0] + a, xs[-1][1] + b))
-                if any(not 0 <= r - l <= 3 for l, r in xs):
+                if any(not 0 <= w <= 3 for w in row_widths(bottom, left, right)):
                     continue
-                boundary = [(l, y) for y, (l, _) in enumerate(xs)][::-1]
-                boundary += [(r, y) for y, (_, r) in enumerate(xs)]
                 try:
-                    poly = HPolygon(boundary)
+                    poly = polygon_from_steps(bottom, left, right)
                 except PolygonError:  # zero area
                     continue
                 polys[poly.vertices] = poly
@@ -267,3 +283,40 @@ def test_enumeration_matches_brute_force():
             assert enumerate_diagrams(poly, genus) == expected, (poly, genus)
             diagrams += len(expected)
     assert diagrams > 1000
+
+
+def enumerated_sum(polygon, genus: int) -> LaurentPoly:
+    return diagram_sum(diagram_terms(polygon, genus))
+
+
+def test_transfer_walk_matches_enumeration():
+    cells = 0
+    for poly in small_polygons():
+        # one genus past the interior point count, where both must give 0
+        for genus in range(poly.interior_lattice_count() + 2):
+            assert refined_invariant(poly, genus) == enumerated_sum(poly, genus), (poly, genus)
+            cells += 1
+    assert cells == 940
+
+
+@st.composite
+def mixed_slope_polygons(draw):
+    """h-transverse polygons of height 2..4 and row widths <= 4 whose sides
+    step by -2..2 per row, with more than one slope on some side."""
+    h = draw(st.integers(2, 4))
+    steps = st.lists(st.integers(-2, 2), min_size=h, max_size=h)
+    left, right = sorted(draw(steps)), sorted(draw(steps), reverse=True)
+    bottom = draw(st.integers(0, 3))
+    assume(len(set(left)) > 1 or len(set(right)) > 1)
+    assume(all(0 <= w <= 4 for w in row_widths(bottom, left, right)))
+    try:
+        return polygon_from_steps(bottom, left, right)
+    except PolygonError:  # zero area
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_slope_polygons(), st.integers(0, 3))
+def test_transfer_walk_matches_enumeration_on_random_polygons(poly, genus):
+    assert len(divergence_sequences(poly)) > 1
+    assert refined_invariant(poly, genus) == enumerated_sum(poly, genus)

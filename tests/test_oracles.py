@@ -23,10 +23,12 @@ def kontsevich(d_max: int) -> list[int]:
 
 
 def test_kontsevich_recursion_gives_the_published_numbers():
-    assert kontsevich(6)[1:] == [1, 1, 12, 620, 87304, 26312976]
+    assert kontsevich(8)[1:] == [
+        1, 1, 12, 620, 87304, 26312976, 14616808192, 13525751027392
+    ]
 
 
-@pytest.mark.parametrize("degree", range(1, 7))
+@pytest.mark.parametrize("degree", range(1, 9))
 def test_complex_count_matches_kontsevich(table, degree):
     assert table.gw_value(HPolygon.p2_triangle(degree), 0) == kontsevich(degree)[degree]
 
@@ -34,7 +36,7 @@ def test_complex_count_matches_kontsevich(table, degree):
 @pytest.mark.parametrize(
     "degree, welschinger",
     # Itenberg-Kharlamov-Shustin: totally real point configurations
-    [(3, 8), (4, 240), (5, 18264), (6, 2845440)],
+    [(3, 8), (4, 240), (5, 18264), (6, 2845440), (7, 792731520), (8, 359935488000)],
 )
 def test_real_count_matches_welschinger(table, degree, welschinger):
     assert table.welschinger_value(HPolygon.p2_triangle(degree), 0) == welschinger
