@@ -14,9 +14,10 @@ just the width differences of consecutive rows, but polygons with mixed
 boundary slopes admit several assignments and each contributes diagrams.
 
 refined_invariant sums multiplicity times markings over all diagrams with a
-transfer walk up the gaps and floors that never builds a diagram.
-enumerate_diagrams, FloorDiagram.marking_count and diagram_sum give the same
-sum diagram by diagram; they serve compute --list-diagrams and the tests.
+transfer walk up the gaps and floors that labels ends and elevators, drops
+partial markings which cannot finish, and never builds a diagram.
+enumerate_diagrams, marking_count and diagram_sum give the same sum diagram
+by diagram, for --list-diagrams and the tests.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from math import comb, factorial
 from .laurent import LaurentPoly, quantum_integer
 
 # tallest polygon accepted.  The transfer walk behind refined_invariant takes
-# 0.004 s on rect:1,64 and 0.07 s on rect:2,14, but enumerate_diagrams
-# (listing) builds every diagram, about 2.3 times more per row of rect:2,h
-# (rect:2,14 takes 21 s), and past about 300 rows the marking walk, which
-# recurses once per placed element, overflows the Python stack.  A taller
-# polygon is refused before anything is computed.
+# 0.002 s on rect:1,64 and 0.016 s on rect:2,14 (2-core VM, CPython 3.11),
+# but enumerate_diagrams (listing) builds every diagram, about 2.3 times more
+# per row of rect:2,h (rect:2,14 takes 21 s), and past about 300 rows the
+# marking walk, which recurses once per placed element, overflows the stack.
+# A taller polygon is refused before anything is computed.
 MAX_HEIGHT = 64
 
 
@@ -164,13 +165,10 @@ def _outgoing_combinations(total: int, source: int, top: int, max_count: int, le
                     yield ((source, target, weight),) + rest
 
 
-def _distinct_orders(counts: Counter):
-    """Distinct orderings of the multiset counts, as tuples."""
-    if not counts:
-        yield ()
-    for v in sorted(counts):
-        for rest in _distinct_orders(counts - Counter((v,))):
-            yield (v,) + rest
+@cache
+def _choices(xs: tuple) -> tuple:
+    """(x, the other slopes) for each distinct slope x in xs."""
+    return tuple((x, xs[:i] + xs[i + 1 :]) for i, x in enumerate(xs) if x not in xs[:i])
 
 
 def divergence_sequences(polygon) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -180,11 +178,15 @@ def divergence_sequences(polygon) -> tuple[tuple[tuple[int, ...], int], ...]:
     order, and records the resulting per-floor divergence sequence together
     with how many assignments produce it.
     """
-    left, right = polygon.end_slopes()
     combos: Counter = Counter()
-    for aseq in _distinct_orders(Counter(left)):
-        for bseq in _distinct_orders(Counter(right)):
-            combos[tuple(a + b for a, b in zip(aseq, bseq))] += 1
+
+    def assign(lefts, rights, seq):
+        if not lefts:
+            combos[seq] += 1
+        for (a, lrest), (b, rrest) in product(_choices(lefts), _choices(rights)):
+            assign(lrest, rrest, seq + (a + b,))
+
+    assign(*polygon.end_slopes(), ())
     return tuple(sorted(combos.items()))
 
 
@@ -257,23 +259,21 @@ _ONE = ((0, 1),)
 
 
 @cache
-def _emissions(flow: int, most: int, least: int = 1) -> tuple:
-    """(weight counts, elevator count, multiplicity) for every multiset of at
-    most `most` elevator weights, each >= least, that sum to flow; the
-    multiplicity is the product of [w]^2 as (exponent, coefficient) pairs."""
+def _emissions(flow: int, most: int, labelled: int, least: int = 1) -> tuple:
+    """(weight counts, elevator count, factor) for every multiset of at most
+    `most` elevator weights, each >= least, that sum to flow.  The factor is
+    the product of [w]^2, as (exponent, coefficient) pairs, times the
+    (labelled + n)!/(labelled! prod c!) ways to label the n new elevators."""
     if flow == 0:
         return (((), 0, _ONE),)
-    if most == 0:
-        return ()
     out = []
     for w in range(least, flow + 1):
-        square = tuple((e, w - abs(e)) for e in range(1 - w, w))
-        for counts, n, mult in _emissions(flow - w, most - 1, w):
-            if counts and counts[0][0] == w:
-                counts = ((w, counts[0][1] + 1),) + counts[1:]
-            else:
-                counts = ((w, 1),) + counts
-            out.append((counts, n + 1, tuple(_times(dict(mult), square, 1, {}).items())))
+        square, power = tuple((e, w - abs(e)) for e in range(1 - w, w)), _ONE
+        for k in range(1, min(most, flow // w) + 1):
+            power = tuple(_times(dict(power), square, 1, {}).items())
+            for counts, n, mult in _emissions(flow - k * w, most - k, labelled, w + 1):
+                mult = _times(dict(mult), power, comb(labelled + n + k, k), {})
+                out.append((((w, k),) + counts, n + k, tuple(mult.items())))
     return tuple(out)
 
 
@@ -287,81 +287,86 @@ def _times(poly: dict, factor: tuple, ways: int, into: dict) -> dict:
     return into
 
 
-def _gap_step(states: dict, last: bool) -> dict:
-    """Places a sub-multiset of the unplaced elements in the gap, all of them
-    in the gap below the top floor, in any of the n!/prod(a!) orders of its
-    identical elements; once placed an element is told apart by its mark."""
+def _tally(items, merged=(), label=0) -> tuple:
+    """Sorted counts of the items, every component in merged renamed label."""
     out = {}
-    for (unplaced, placed, *rest), poly in states.items():
-        for picks in product(*((c,) if last else range(c + 1) for _, c in unplaced)):
-            ways, left, now = factorial(sum(picks)), [], dict(placed)
-            for ((src, w, comp), c), a in zip(unplaced, picks):
-                if a:
-                    ways //= factorial(a)
-                    now[w, comp] = now.get((w, comp), 0) + a
-                if a < c:
-                    left.append(((src, w, comp), c - a))
-            key = (tuple(left), tuple(sorted(now.items())), *rest)
-            _times(poly, _ONE, ways, out.setdefault(key, {}))
-    return out
-
-
-def _relabel(items: tuple, merged: set, label: int) -> tuple:
-    """(kind..., component) counts with every component in merged renamed label."""
-    out = {}
-    for (*kind, comp), c in items:
-        key = (*kind, label if comp in merged else comp)
+    for (w, comp), c in items:
+        key = (w, label if comp in merged else comp)
         out[key] = out.get(key, 0) + c
     return tuple(sorted(out.items()))
 
 
-def _floor_step(states: dict, f: int, h: int, n_elev: int, need: int) -> dict:
+def _gap_step(states: dict, last: bool) -> dict:
+    """Places a of the c elements of each class in the gap, all of them in
+    the gap below the top floor, in (sum a)! prod C(c, a) ways, and drops a
+    placement that leaves the next floor less weight than its least slopes."""
+    out = {}
+    for (unplaced, placed, labelled, tops, lefts, rights), poly in states.items():
+        least = min(lefts) + min(rights) - sum(w * c for (w, _), c in placed)
+        for picks in product(*((c,) if last else range(c + 1) for _, c in unplaced)):
+            ways, weight, left, now = factorial(sum(picks)), 0, [], dict(placed)
+            for (kind, c), a in zip(unplaced, picks):
+                if a:
+                    ways *= comb(c, a)
+                    weight += a * kind[0]
+                    now[kind] = now.get(kind, 0) + a
+                if a < c:
+                    left.append((kind, c - a))
+            if weight >= least:
+                key = (tuple(left), tuple(sorted(now.items())), labelled, tops, lefts, rights)
+                _times(poly, _ONE, ways, out.setdefault(key, {}))
+    return out
+
+
+def _floor_step(states: dict, f: int, h: int, total: int, need: int) -> dict:
     """Floor f takes a sub-multiset of the placed elements as its incoming
     ends and elevators, one left and one right slope, t top ends and
     elevators whose weights carry the flow that is left; the top floor takes
     everything that is waiting and emits nothing."""
     last = f == h
     out = {}
-    for (unplaced, placed, used, tops, lefts, rights), poly in states.items():
-        # non-top elements above floor f: floors, elevators not yet emitted
-        # and elements not yet placed
-        above = h - f + n_elev - used + sum(c for _, c in unplaced)
+    for (unplaced, placed, labelled, tops, lefts, rights), poly in states.items():
+        # non-top elements above floor f: floors, elevators to come, unplaced ones
+        above = h - f + total - labelled + sum(c for _, c in unplaced)
+        # elevators not yet absorbed, by component (bottom ends have none); with
+        # those to come, each joins at most two of the components and floors left
+        held = [(comp, c) for (_, comp), c in unplaced + placed if comp]
+        spare = total - labelled + sum(c for _, c in held) - len(dict(held)) - h + f
         for picks in product(*((c,) if last else range(c + 1) for _, c in placed)):
-            ways, inflow, merged, waiting = 1, 0, set(), []
+            ways, inflow, merged, taken, waiting = 1, 0, set(), 0, []
             for ((w, comp), c), b in zip(placed, picks):
                 if b:
                     ways *= comb(c, b)
                     inflow += b * w
                     if comp:
                         merged.add(comp)
+                        taken += b
                 if b < c:
                     waiting.append(((w, comp), c - b))
-            # the floor joins the components of its elevators; a component
-            # is named by its lowest floor and bottom ends belong to none (0)
+            if not last and spare - taken + len(merged) < 0:
+                continue
+            pending = sum(c for comp, c in held if comp in merged) > taken
+            # the floor and the components it absorbs become one, named by its lowest floor
             label = min(merged, default=f)
             left, waiting = unplaced, tuple(waiting)
             if len(merged) > 1:
-                left, waiting = _relabel(left, merged, label), _relabel(waiting, merged, label)
-            pending = any(k[-1] == label for k, _ in left + waiting)
-            for a in set(lefts):
-                i = lefts.index(a)
-                for b in set(rights):
-                    j = rights.index(b)
-                    rest = (lefts[:i] + lefts[i + 1 :], rights[:j] + rights[j + 1 :])
-                    for t in (tops,) if last else range(tops + 1):
-                        flow = inflow - t - a - b
-                        if flow < 0 or last and flow:
-                            continue
-                        # the t top ends go among the non-top elements and
-                        # the later floors' top ends above floor f
-                        top_ways = ways * comb(above + tops, t)
-                        for counts, n, mult in _emissions(flow, min(flow, n_elev - used)):
-                            # a floor below the top must leave its component
-                            # something crossing above it
-                            if (last or n or pending) and used + n >= need:
-                                emitted = tuple(((f, w, label), c) for w, c in counts)
-                                key = (left + emitted, waiting, used + n, tops - t, *rest)
-                                _times(poly, mult, top_ways, out.setdefault(key, {}))
+                left, waiting = _tally(left, merged, label), _tally(waiting, merged, label)
+            for (a, lrest), (b, rrest) in product(_choices(lefts), _choices(rights)):
+                for t in (tops,) if last else range(tops + 1):
+                    # the top floor emits nothing, and a floor below it must
+                    # leave its component something crossing above it
+                    flow = inflow - t - a - b
+                    if flow < 0 or last and flow or not (last or flow or pending):
+                        continue
+                    # the t top ends go among the non-top elements and the
+                    # later floors' top ends above floor f
+                    top_ways = ways * comb(above + tops, t)
+                    for counts, n, mult in _emissions(flow, min(flow, total - labelled), labelled):
+                        if labelled + n >= need:
+                            emitted = tuple(((w, label), c) for w, c in counts)
+                            now = _tally(left + emitted) if n else left
+                            key = (now, waiting, labelled + n, tops - t, lrest, rrest)
+                            _times(poly, mult, top_ways, out.setdefault(key, {}))
     return out
 
 
@@ -372,13 +377,13 @@ def refined_invariant(polygon, genus: int) -> LaurentPoly:
     A marking orders the floors, then every elevator and end in one gap
     between the floors its endpoints allow.  The walk runs up gap 0, floor 1,
     gap 1, ..., floor h and keeps, for each partial marking, the unplaced
-    elements counted by (source floor, weight, component), bottom ends as
-    (0, 1, 0); the placed elements still waiting for their upper floor,
-    counted by (weight, component); the elevators emitted so far; the top
-    ends left; and the left and right slopes still to assign, so that every
-    divergence sequence shares the walk.  Each state holds its partial sum
-    as {exponent: coefficient}.  Top ends never enter a state: the floor
-    that emits them counts their places among the elements above it.
+    elements and the placed ones still waiting for their upper floor, both
+    counted by (weight, component) with bottom ends as (1, 0); how many
+    bottom ends and elevators are labelled; the top ends left; and the slopes
+    still to assign, so every divergence sequence shares the walk.  A state's
+    partial sum, {exponent: coefficient}, is (bottom width + elevators)!
+    times too large until the one division at the end.  Top ends never enter
+    a state: the floor that emits them counts their places above it.
     """
     if genus < 0:
         raise DiagramError("genus must be >= 0")
@@ -386,13 +391,16 @@ def refined_invariant(polygon, genus: int) -> LaurentPoly:
         raise DiagramError(f"height {polygon.height} is above the bound of {MAX_HEIGHT}")
     widths = polygon.floor_profile()
     h = len(widths) - 1
-    n_elev = genus + h - 1
-    unplaced = (((0, 1, 0), widths[0]),) if widths[0] else ()
-    states = {(unplaced, (), 0, widths[-1], *polygon.end_slopes()): {0: 1}}
+    total = widths[0] + genus + h - 1  # bottom ends and elevators to label
+    unplaced = (((1, 0), widths[0]),) if widths[0] else ()
+    states = {(unplaced, (), widths[0], widths[-1], *polygon.end_slopes()): {0: 1}}
     for f in range(1, h + 1):
         # an elevator from floor k crosses above it, where no assignment of
         # the slopes is wider than the polygon's row k, so the floors
         # f+1..h-1 emit at most sum(widths[f + 1 : h]) elevators
-        need = n_elev - sum(widths[f + 1 : h])
-        states = _floor_step(_gap_step(states, f == h), f, h, n_elev, need)
-    return LaurentPoly(next(iter(states.values()), {}))
+        need = total - sum(widths[f + 1 : h])
+        states = _floor_step(_gap_step(states, f == h), f, h, total, need)
+    for (_, _, labelled, *_), poly in states.items():
+        scale = factorial(labelled)
+        return LaurentPoly({e: c // scale for e, c in poly.items()})
+    return LaurentPoly.zero()

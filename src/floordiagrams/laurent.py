@@ -73,10 +73,6 @@ class LaurentPoly:
     def has_integer_exponents(self) -> bool:
         return all(e2 % 2 == 0 for e2 in self._terms)
 
-    def is_palindromic(self) -> bool:
-        """True when the coefficients are symmetric under q -> 1/q."""
-        return all(self._terms.get(-e2) == c for e2, c in self._terms.items())
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

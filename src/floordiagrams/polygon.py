@@ -230,10 +230,6 @@ class HPolygon:
 
     # -- symmetries and keys ----------------------------------------------
 
-    def transpose(self) -> "HPolygon":
-        """Swap the coordinate axes; errors if the result is not h-transverse."""
-        return HPolygon([(y, x) for x, y in self._vertices])
-
     def canonical_key(self) -> tuple[tuple[int, int], ...]:
         """Representative of the polygon up to x-reflection, for table keys.
 

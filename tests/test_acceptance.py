@@ -206,8 +206,9 @@ def test_criterion_7_palindromic_and_nonnegative(table):
             table.refined_descendant(poly, s)
     seen = 0
     for key, record in table.items():
-        assert record.value.is_palindromic(), key
-        assert all(c >= 0 for c in record.value.to_coeff_dict().values()), key
+        coeffs = record.value.to_coeff_dict()
+        assert coeffs == {-e: c for e, c in coeffs.items()}, key
+        assert all(c >= 0 for c in coeffs.values()), key
         seen += 1
     assert seen >= 100
 

@@ -39,6 +39,15 @@ def test_compute_tallest_allowed_polygon(capsys):
     assert out == f"{spec} g=0 s=0: 1\n"
 
 
+def test_compute_huge_genus_is_zero_at_once(capsys):
+    # nothing in the walk may scale with the genus: no state gets past the
+    # first floor, so the answer is 0 without any factorial of the genus
+    genus = "99999999999999999999"
+    code, out, _ = run(capsys, "compute", "--polygon", "p2:3", "--genus", genus)
+    assert code == 0
+    assert out == f"p2:3 g={genus} s=0: 0\n"
+
+
 def test_compute_extrapolated_marker(capsys):
     code, out, _ = run(capsys, "compute", "--polygon", "sigma2:2,0", "--pairs", "1")
     assert code == 0

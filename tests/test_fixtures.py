@@ -28,7 +28,8 @@ def test_row_count_and_shape():
     for row in rows:
         assert row.genus >= 0 and row.pairs >= 0
         assert not (row.genus and row.pairs)
-        assert row.value.is_palindromic()
+        coeffs = row.value.to_coeff_dict()
+        assert coeffs == {-e: c for e, c in coeffs.items()}
         assert f"g={row.genus}" in row.label()
         assert f"s={row.pairs}" in row.label()
 

