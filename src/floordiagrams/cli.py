@@ -103,37 +103,49 @@ def run_compute(args) -> int:
     polygon, label = _load_polygon(args)
     genus_span = _parse_span(args.genus)
     pairs_span = _parse_span(args.pairs)
-    if args.list_diagrams and max(pairs_span) > 0:
+    if args.list_diagrams and pairs_span[-1] > 0:
         raise ValueError("--list-diagrams only applies to pairs = 0")
     # refuse an inadmissible span before any record is computed or cached
-    InvariantKey.make(polygon, max(genus_span), max(pairs_span))
+    InvariantKey.make(polygon, genus_span[-1], pairs_span[-1])
+    # every genus above the interior point count is 0; a single genus says
+    # so at once, but a range that long would only print zeros
+    if genus_span[0] < genus_span[-1] > polygon.interior_lattice_count():
+        raise ValueError(
+            f"genus range {args.genus} ends above {polygon.interior_lattice_count()}, "
+            f"the interior lattice point count of {label}; every genus above it is 0"
+        )
     table = InvariantTable(cache_path=args.cache)
-    records = []
-    for genus in genus_span:
-        for pairs in pairs_span:
-            if args.list_diagrams:
-                # a pairs = 0 record is exactly this sum and never extrapolated
-                terms = diagram_terms(polygon, genus)
-                rec = InvariantRecord(diagram_sum(terms), False)
-            else:
-                terms = ()
+    cells = []  # (genus, pairs, record, diagram terms)
+    if args.list_diagrams:
+        for genus in genus_span:
+            # a pairs = 0 record is exactly this sum and never extrapolated
+            terms = diagram_terms(polygon, genus)
+            cells.append((genus, 0, InvariantRecord(diagram_sum(terms), False), terms))
+    elif pairs_span == range(1):
+        recs = table.genus_records(polygon, genus_span)
+        cells = [(genus, 0, rec, ()) for genus, rec in zip(genus_span, recs)]
+    else:
+        for genus in genus_span:
+            for pairs in pairs_span:
                 try:
                     rec = table.record(polygon, genus, pairs)
                 except InvariantError as err:
-                    if max(pairs_span) > 0:
-                        err.trace = table.recursion_trace(polygon, max(pairs_span))
+                    err.trace = table.recursion_trace(polygon, pairs_span[-1])
                     raise
-            entry = {
-                "polygon": label,
-                "vertices": [list(v) for v in polygon.vertices],
-                "genus": genus,
-                "pairs": pairs,
-                "invariant": rec.value.to_json_dict(),
-                "extrapolated": rec.extrapolated,
-            }
-            if args.list_diagrams and args.emit == "json":
-                entry["diagrams"] = [_diagram_payload(*term) for term in terms]
-            records.append((entry, rec.value, terms))
+                cells.append((genus, pairs, rec, ()))
+    records = []
+    for genus, pairs, rec, terms in cells:
+        entry = {
+            "polygon": label,
+            "vertices": [list(v) for v in polygon.vertices],
+            "genus": genus,
+            "pairs": pairs,
+            "invariant": rec.value.to_json_dict(),
+            "extrapolated": rec.extrapolated,
+        }
+        if args.list_diagrams and args.emit == "json":
+            entry["diagrams"] = [_diagram_payload(*term) for term in terms]
+        records.append((entry, rec.value, terms))
     if args.emit == "json":
         payload = {"engine": ENGINE_VERSION, "results": [entry for entry, _, _ in records]}
         print(json.dumps(payload, indent=2, sort_keys=True))

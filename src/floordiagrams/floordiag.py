@@ -13,9 +13,10 @@ boundary slopes are constant the assignment is unique and the divergences are
 just the width differences of consecutive rows, but polygons with mixed
 boundary slopes admit several assignments and each contributes diagrams.
 
-refined_invariant sums multiplicity times markings over all diagrams with a
+refined_invariants sums multiplicity times markings over all diagrams with a
 transfer walk up the gaps and floors that labels ends and elevators, drops
-partial markings which cannot finish, and never builds a diagram.
+partial markings which cannot finish, and never builds a diagram; on a
+polygon whose top row is one point one walk gives a whole genus column.
 enumerate_diagrams, marking_count and diagram_sum give the same sum diagram
 by diagram, for --list-diagrams and the tests.
 """
@@ -318,20 +319,24 @@ def _gap_step(states: dict, last: bool) -> dict:
     return out
 
 
-def _floor_step(states: dict, f: int, h: int, total: int, need: int) -> dict:
+def _floor_step(states: dict, f: int, h: int, hi: int, need: int) -> dict:
     """Floor f takes a sub-multiset of the placed elements as its incoming
     ends and elevators, one left and one right slope, t top ends and
     elevators whose weights carry the flow that is left; the top floor takes
-    everything that is waiting and emits nothing."""
+    everything that is waiting and emits nothing.  A choice survives when
+    some count of labelled elements up to hi can finish it, and an emission
+    when it reaches need, the least that the lowest count asks of the
+    floors so far."""
     last = f == h
     out = {}
     for (unplaced, placed, labelled, tops, lefts, rights), poly in states.items():
-        # non-top elements above floor f: floors, elevators to come, unplaced ones
-        above = h - f + total - labelled + sum(c for _, c in unplaced)
+        # non-top elements above floor f: floors, elevators to come, unplaced
+        # ones (a walk with top ends has lo = hi)
+        above = h - f + hi - labelled + sum(c for _, c in unplaced)
         # elevators not yet absorbed, by component (bottom ends have none); with
         # those to come, each joins at most two of the components and floors left
         held = [(comp, c) for (_, comp), c in unplaced + placed if comp]
-        spare = total - labelled + sum(c for _, c in held) - len(dict(held)) - h + f
+        spare = hi - labelled + sum(c for _, c in held) - len(dict(held)) - h + f
         for picks in product(*((c,) if last else range(c + 1) for _, c in placed)):
             ways, inflow, merged, taken, waiting = 1, 0, set(), 0, []
             for ((w, comp), c), b in zip(placed, picks):
@@ -361,7 +366,7 @@ def _floor_step(states: dict, f: int, h: int, total: int, need: int) -> dict:
                     # the t top ends go among the non-top elements and the
                     # later floors' top ends above floor f
                     top_ways = ways * comb(above + tops, t)
-                    for counts, n, mult in _emissions(flow, min(flow, total - labelled), labelled):
+                    for counts, n, mult in _emissions(flow, min(flow, hi - labelled), labelled):
                         if labelled + n >= need:
                             emitted = tuple(((w, label), c) for w, c in counts)
                             now = _tally(left + emitted) if n else left
@@ -370,9 +375,30 @@ def _floor_step(states: dict, f: int, h: int, total: int, need: int) -> dict:
     return out
 
 
-def refined_invariant(polygon, genus: int) -> LaurentPoly:
-    """Refined genus-g count: the sum of multiplicity times markings over all
-    diagrams, by a transfer walk that never builds a diagram.
+def _walk(polygon, widths: tuple, lo: int, hi: int) -> dict:
+    """{labelled: value} for the diagrams with lo..hi bottom ends and
+    elevators in all, by the transfer walk of refined_invariants; widths is
+    the polygon's floor profile."""
+    h = len(widths) - 1
+    unplaced = (((1, 0), widths[0]),) if widths[0] else ()
+    states = {(unplaced, (), widths[0], widths[-1], *polygon.end_slopes()): {0: 1}}
+    for f in range(1, h + 1):
+        # an elevator from floor k crosses above it, where no assignment of
+        # the slopes is wider than the polygon's row k, so the floors
+        # f+1..h-1 emit at most sum(widths[f + 1 : h]) elevators
+        need = lo - sum(widths[f + 1 : h])
+        states = _floor_step(_gap_step(states, f == h), f, h, hi, need)
+    out = {}
+    for (_, _, labelled, *_), poly in states.items():
+        scale = factorial(labelled)
+        out[labelled] = LaurentPoly({e: c // scale for e, c in poly.items()})
+    return out
+
+
+def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
+    """{genus: refined count} for each of the genera: the sum of
+    multiplicity times markings over all diagrams of that genus, by a
+    transfer walk that never builds a diagram.
 
     A marking orders the floors, then every elevator and end in one gap
     between the floors its endpoints allow.  The walk runs up gap 0, floor 1,
@@ -384,23 +410,32 @@ def refined_invariant(polygon, genus: int) -> LaurentPoly:
     partial sum, {exponent: coefficient}, is (bottom width + elevators)!
     times too large until the one division at the end.  Top ends never enter
     a state: the floor that emits them counts their places above it.
+
+    The genus enters the walk only through its prunes, as the number of
+    labelled elements, bottom width + genus + h - 1.  On a polygon whose top
+    row is one point, one walk therefore serves every genus from the least to
+    the greatest asked for, and each final state's labelled count gives its
+    genus.  Elsewhere the places of the top ends depend on how many elevators
+    are still to come, so each genus takes a walk of its own.
     """
-    if genus < 0:
+    genera = sorted(set(genera))
+    if genera and genera[0] < 0:
         raise DiagramError("genus must be >= 0")
     if polygon.height > MAX_HEIGHT:
         raise DiagramError(f"height {polygon.height} is above the bound of {MAX_HEIGHT}")
     widths = polygon.floor_profile()
-    h = len(widths) - 1
-    total = widths[0] + genus + h - 1  # bottom ends and elevators to label
-    unplaced = (((1, 0), widths[0]),) if widths[0] else ()
-    states = {(unplaced, (), widths[0], widths[-1], *polygon.end_slopes()): {0: 1}}
-    for f in range(1, h + 1):
-        # an elevator from floor k crosses above it, where no assignment of
-        # the slopes is wider than the polygon's row k, so the floors
-        # f+1..h-1 emit at most sum(widths[f + 1 : h]) elevators
-        need = total - sum(widths[f + 1 : h])
-        states = _floor_step(_gap_step(states, f == h), f, h, total, need)
-    for (_, _, labelled, *_), poly in states.items():
-        scale = factorial(labelled)
-        return LaurentPoly({e: c // scale for e, c in poly.items()})
-    return LaurentPoly.zero()
+    base = widths[0] + polygon.height - 1  # labelled elements at genus 0
+    spans = [(g, g) for g in genera]
+    if widths[-1] == 0 and genera:
+        spans = [(genera[0], genera[-1])]
+    out = dict.fromkeys(genera, LaurentPoly.zero())
+    for lo, hi in spans:
+        for labelled, value in _walk(polygon, widths, base + lo, base + hi).items():
+            if labelled - base in out:
+                out[labelled - base] = value
+    return out
+
+
+def refined_invariant(polygon, genus: int) -> LaurentPoly:
+    """Refined genus-g count: refined_invariants for the one genus."""
+    return refined_invariants(polygon, (genus,))[genus]

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from itertools import chain
 
-from .floordiag import MAX_HEIGHT, refined_invariant as _direct_invariant
+from .floordiag import MAX_HEIGHT, refined_invariant as _direct_invariant, refined_invariants
 from .laurent import LaurentPoly
 from .polygon import HPolygon
 
@@ -54,20 +54,6 @@ def _stuck_error(polygon) -> InvariantError:
         f"pair recursion is stuck on {polygon!r}: the class d - 2E is "
         f"nonempty but {detail}"
     )
-
-
-def _pair_step(polygon) -> tuple:
-    """The (corner, cut polygon) options for removing one pair from polygon.
-
-    Empty when no corner admits the cut and the polygon has no interior
-    lattice points: d - 2E then has negative arithmetic genus, so the
-    correction term is an empty count.  Raises when no corner admits the cut
-    but the class is nonempty.
-    """
-    options = polygon.admissible_cuts()
-    if not options and polygon.interior_lattice_count() > 0:
-        raise _stuck_error(polygon)
-    return options
 
 
 def max_pairs(polygon) -> int:
@@ -154,6 +140,9 @@ class InvariantTable:
         self._cache_path = cache_path
         self._verify_cache = verify_cache
         self._stale_cache_lines = 0
+        self._torn_cache_lines = 0
+        self._torn: tuple[int, int] | None = None  # byte span of a torn last line
+        self._cuts: dict[HPolygon, tuple] = {}
         if self._cache_path and os.path.exists(self._cache_path):
             self._load_cache()
 
@@ -184,10 +173,43 @@ class InvariantTable:
         self._append_cache(key, rec)
         return rec
 
+    def genus_records(self, polygon, genera: range) -> list[InvariantRecord]:
+        """The pairs = 0 records of the genera, in order.  Memoized and
+        cached ones are reused; the rest come from one refined_invariants
+        call and are stored and appended in ascending genus order."""
+        keys = [InvariantKey.make(polygon, genus, 0) for genus in genera]
+        missing = [key.genus for key in keys if key not in self._records]
+        if missing:
+            values = refined_invariants(polygon, missing)
+            for key in keys:
+                if key.genus in values:
+                    rec = self._records[key] = InvariantRecord(values[key.genus], False)
+                    self._append_cache(key, rec)
+        return [self._records[key] for key in keys]
+
     def items(self):
         return tuple(self._records.items())
 
     # -- computation ---------------------------------------------------------
+
+    def _pair_step(self, polygon) -> tuple:
+        """The (corner, cut polygon) options for removing one pair from polygon.
+
+        Empty when no corner admits the cut and the polygon has no interior
+        lattice points: d - 2E then has negative arithmetic genus, so the
+        correction term is an empty count.  Raises when no corner admits the cut
+        but the class is nonempty.  Options are memoized per polygon; a stuck
+        polygon is searched, and raises, again on every call.
+        """
+        try:
+            return self._cuts[polygon]
+        except KeyError:
+            pass
+        options = polygon.admissible_cuts()
+        if not options and polygon.interior_lattice_count() > 0:
+            raise _stuck_error(polygon)
+        self._cuts[polygon] = options
+        return options
 
     def _compute(self, polygon, genus: int, pairs: int) -> InvariantRecord:
         if pairs == 0:
@@ -195,7 +217,7 @@ class InvariantTable:
         sub_full = self.record(polygon, 0, pairs - 1)
         value = sub_full.value
         extrapolated = not polygon.has_small_del_pezzo_fan() or sub_full.extrapolated
-        options = _pair_step(polygon)
+        options = self._pair_step(polygon)
         if options:
             sub_cut = self.record(options[0][1], 0, pairs - 1)
             value = value - 2 * sub_cut.value
@@ -220,7 +242,7 @@ class InvariantTable:
                 out = (self.refined_invariant(poly, 0),)
             else:
                 base = sweep(poly, s - 1)
-                options = _pair_step(poly)
+                options = self._pair_step(poly)
                 if not options:
                     out = base
                 else:
@@ -265,7 +287,7 @@ class InvariantTable:
         if pairs == 0:
             return node
         try:
-            options = _pair_step(polygon)
+            options = self._pair_step(polygon)
         except InvariantError:
             return node
         node["corner"] = None
@@ -282,9 +304,16 @@ class InvariantTable:
         loaded: dict[InvariantKey, InvariantRecord] = {}
         polygons: dict[InvariantKey, HPolygon] = {}  # built only to verify
         with open(self._cache_path, encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
+            for number, raw in enumerate(handle, start=1):
+                line = raw.strip()
                 if not line:
+                    continue
+                if not raw.endswith("\n"):
+                    # only the last line can lack its newline: a crash cut it
+                    # short, so it is skipped, and the next append cuts it off
+                    self._torn_cache_lines += 1
+                    end = os.fstat(handle.fileno()).st_size
+                    self._torn = (end - len(raw.encode("utf-8")), end)
                     continue
                 try:
                     parsed = _parse_cache_line(line)
@@ -326,6 +355,11 @@ class InvariantTable:
             "extrapolated": rec.extrapolated,
         }
         with open(self._cache_path, "a", encoding="utf-8") as handle:
+            if self._torn and handle.tell() == self._torn[1]:
+                # left in place, the fragment would become a malformed line
+                # that is no longer the last one
+                handle.truncate(self._torn[0])
+            self._torn = None
             handle.write(json.dumps(entry) + "\n")
 
     def cache_stats(self) -> dict:
@@ -333,4 +367,5 @@ class InvariantTable:
             "path": self._cache_path,
             "records": len(self._records),
             "stale_lines": self._stale_cache_lines,
+            "torn_lines": self._torn_cache_lines,
         }

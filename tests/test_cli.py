@@ -48,6 +48,74 @@ def test_compute_huge_genus_is_zero_at_once(capsys):
     assert out == f"p2:3 g={genus} s=0: 0\n"
 
 
+@pytest.mark.parametrize("emit", ["text", "json"])
+def test_compute_huge_genus_range_is_refused(capsys, emit):
+    # every genus above the interior point count (1 for p2:3) is 0
+    span = "0..1000000000000"
+    code, out, err = run(capsys, "compute", "--polygon", "p2:3", "--genus", span, "--emit", emit)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: genus range {span} ends above 1, the interior lattice point "
+        "count of p2:3; every genus above it is 0\n"
+    )
+    code, out, _ = run(capsys, "compute", "--polygon", "p2:3", "--genus", "0..1")
+    assert (code, out) == (0, "p2:3 g=0 s=0: q^-1 + 10 + q\np2:3 g=1 s=0: 1\n")
+
+
+def test_compute_huge_pairs_range_is_refused_at_once(capsys):
+    code, out, err = run(capsys, "compute", "--polygon", "p2:3", "--pairs", "0..1000000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: pairs = 1000000000000 exceeds half the point count")
+
+
+@pytest.mark.parametrize("spec, span, walks", [("p2:5", "0..6", 1), ("rect:4,3", "0..2", 3)])
+def test_compute_genus_column_walks(capsys, monkeypatch, spec, span, walks):
+    # a polygon whose top row is one point takes one walk for the column
+    calls = []
+    walk = floordiag._walk
+
+    def counting_walk(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(floordiag, "_walk", counting_walk)
+    code, _, _ = run(capsys, "compute", "--polygon", spec, "--genus", span)
+    assert code == 0
+    assert len(calls) == walks
+
+
+@pytest.mark.parametrize("spec, top", [("p2:5", 6), ("sigma2:3,0", 2), ("rect:3,3", 4)])
+def test_compute_genus_range_matches_single_requests(capsys, tmp_path, spec, top):
+    # the cache holds genus 1 already, so the range appends around it
+    single, joint = tmp_path / "single.jsonl", tmp_path / "joint.jsonl"
+    for path in (single, joint):
+        run(capsys, "--cache", str(path), "compute", "--polygon", spec, "--genus", "1")
+    for emit in ("text", "csv", "json"):
+        outs = []
+        for genus in range(top + 1):
+            code, out, err = run(
+                capsys, "--cache", str(single), "compute", "--polygon", spec,
+                "--genus", str(genus), "--emit", emit,
+            )
+            assert (code, err) == (0, "")
+            outs.append(out)
+        code, out, err = run(
+            capsys, "--cache", str(joint), "compute", "--polygon", spec,
+            "--genus", f"0..{top}", "--emit", emit,
+        )
+        assert (code, err) == (0, "")
+        if emit == "text":
+            assert out == "".join(outs)
+        elif emit == "csv":
+            header = "polygon,genus,s,exponent,coefficient\n"
+            assert out == header + "".join(o.removeprefix(header) for o in outs)
+        else:
+            results = [r for o in outs for r in json.loads(o)["results"]]
+            payload = {"engine": ENGINE_VERSION, "results": results}
+            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert joint.read_bytes() == single.read_bytes()
+
+
 def test_compute_extrapolated_marker(capsys):
     code, out, _ = run(capsys, "compute", "--polygon", "sigma2:2,0", "--pairs", "1")
     assert code == 0
@@ -490,7 +558,8 @@ GEOMETRY_LINES = (
 @pytest.mark.parametrize(
     "bad_line",
     [
-        '{"engine": "0.1.0", "polygon": [[0, 0], [1',
+        # cut short like a torn last line, but followed by its newline
+        '{"engine": "0.1.0", "polygon": [[0, 0], [1\n',
         '{"engine": "0.1.0", "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]], "genus": 0}\n',
         '[1, 2, 3]\n',
         '{"engine": "0.1.0", "polygon": [[0, 0], [2, 0], [2, 2], [0, 2]], "genus": true, '
@@ -506,7 +575,7 @@ GEOMETRY_LINES = (
         *GEOMETRY_LINES,
     ],
     ids=[
-        "torn-last-line",
+        "cut-short-line",
         "missing-field",
         "not-an-object",
         "bool-genus",
@@ -538,6 +607,34 @@ def test_cache_malformed_line(capsys, tmp_path, bad_line):
     assert code == 1
     report = json.loads(out)
     assert report["passed"] is False and where in report["error"]
+
+
+def test_cache_skips_a_torn_last_line(capsys, tmp_path):
+    # a crash mid-append leaves a last line without its newline
+    path = tmp_path / "cache.jsonl"
+    code, first, _ = run(capsys, "--cache", str(path), "compute", "--polygon", "rect:1,2")
+    assert code == 0
+    good = path.read_text()
+    for fragment in ('{"engine": "0.1.0", "polygon": [[0, 0], [1', good.strip()):
+        path.write_text(good + fragment)
+        code, out, err = run(capsys, "--cache", str(path), "compute", "--polygon", "rect:1,2")
+        assert (code, out, err) == (0, first, "")
+        assert path.read_text() == good + fragment  # served from the cache
+        code, out, _ = run(capsys, "--cache", str(path), "cache", "stats")
+        assert code == 0
+        assert json.loads(out) == {
+            "path": str(path), "records": 1, "stale_lines": 0, "torn_lines": 1,
+        }
+        # the next append replaces the fragment with a whole line
+        code, _, _ = run(capsys, "--cache", str(path), "compute", "--polygon", "rect:2,2")
+        assert code == 0
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[0] == good and len(lines) == 2 and lines[1].endswith("\n")
+        code, out, _ = run(capsys, "--cache", str(path), "cache", "verify")
+        assert code == 0
+        assert json.loads(out) == {
+            "path": str(path), "records": 2, "stale_lines": 0, "torn_lines": 0, "passed": True,
+        }
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

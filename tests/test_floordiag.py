@@ -14,6 +14,7 @@ from floordiagrams.floordiag import (
     divergence_sequences,
     enumerate_diagrams,
     refined_invariant,
+    refined_invariants,
 )
 from floordiagrams.laurent import LaurentPoly
 from floordiagrams.polygon import HPolygon, PolygonError
@@ -329,3 +330,50 @@ def mixed_slope_polygons(draw):
 def test_transfer_walk_matches_enumeration_on_random_polygons(poly, genus):
     assert len(divergence_sequences(poly)) > 1
     assert refined_invariant(poly, genus) == enumerated_sum(poly, genus)
+
+
+def per_genus(polygon, genera) -> dict:
+    return {genus: refined_invariant(polygon, genus) for genus in genera}
+
+
+def test_joint_walk_matches_per_genus_walks():
+    apexes = 0
+    for poly in small_polygons():
+        genera = range(poly.interior_lattice_count() + 2)
+        assert refined_invariants(poly, genera) == per_genus(poly, genera), poly
+        apexes += poly.floor_profile()[-1] == 0
+    assert apexes == 65
+
+
+@pytest.mark.parametrize("spec", ["p2:6", "sigma2:4,0"])
+def test_joint_walk_gives_whole_columns(spec):
+    poly = HPolygon.from_spec(spec)
+    genera = range(poly.interior_lattice_count() + 1)
+    column = refined_invariants(poly, genera)
+    assert column == per_genus(poly, genera)
+    assert column[genera[-1]] == LaurentPoly.one()
+    # any subset of the column, in any order, takes the same values
+    assert refined_invariants(poly, (3, 1)) == {1: column[1], 3: column[3]}
+    assert refined_invariants(poly, ()) == {}
+
+
+@st.composite
+def apex_polygons(draw):
+    """h-transverse polygons of height 1..4 and row widths <= 4 whose top
+    row is one point and whose sides step by -2..2 per row."""
+    h = draw(st.integers(1, 4))
+    steps = st.lists(st.integers(-2, 2), min_size=h, max_size=h)
+    left, right = sorted(draw(steps)), sorted(draw(steps), reverse=True)
+    # the bottom width that closes the top row; widths are concave in the
+    # row, so every row between is wider than 0
+    bottom = sum(left) - sum(right)
+    assume(bottom > 0 and max(row_widths(bottom, left, right)) <= 4)
+    return polygon_from_steps(bottom, left, right)
+
+
+@settings(max_examples=30, deadline=None)
+@given(apex_polygons())
+def test_joint_walk_matches_per_genus_walks_on_random_apex_polygons(poly):
+    assert poly.floor_profile()[-1] == 0
+    genera = range(poly.interior_lattice_count() + 2)
+    assert refined_invariants(poly, genera) == per_genus(poly, genera)

@@ -75,6 +75,30 @@ def test_stuck_recursion_raises(table):
         table.refined_descendant(HPolygon.rectangle(3, 3), 4)
 
 
+def test_pair_step_searches_each_polygon_once(monkeypatch):
+    table, searched = InvariantTable(), []
+    admissible_cuts = HPolygon.admissible_cuts
+
+    def counting_cuts(polygon):
+        searched.append(polygon)
+        return admissible_cuts(polygon)
+
+    monkeypatch.setattr(HPolygon, "admissible_cuts", counting_cuts)
+    rect = HPolygon.rectangle(2, 4)
+    table.refined_descendant(rect, 5)
+    table.descendant_value_set(rect, 5)
+    table.recursion_trace(rect, 5)
+    assert searched and len(searched) == len(set(searched))
+    # a stuck polygon is not memoized: it is searched and raises every time
+    errors = []
+    for _ in range(2):
+        with pytest.raises(InvariantError) as err:
+            table.refined_descendant(HPolygon.rectangle(3, 3), 3)
+        errors.append((str(err.value), searched[-1]))
+    assert errors[0] == errors[1]
+    assert searched.count(errors[0][1]) == 2
+
+
 def test_stuck_polygons_are_the_known_blockers(table):
     assert HEXAGON.admissible_cut_corners() == ()
     assert HEXAGON.interior_lattice_count() > 0
@@ -194,7 +218,9 @@ def test_table_ignores_the_cache_env_var(tmp_path, monkeypatch):
     before = path.read_text()
     monkeypatch.setenv(CACHE_ENV_VAR, str(path))
     table = InvariantTable()
-    assert table.cache_stats() == {"path": None, "records": 0, "stale_lines": 0}
+    assert table.cache_stats() == {
+        "path": None, "records": 0, "stale_lines": 0, "torn_lines": 0,
+    }
     table.refined_invariant(HPolygon.rectangle(2, 3), 0)
     assert path.read_text() == before
 
