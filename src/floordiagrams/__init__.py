@@ -1,6 +1,6 @@
 """Refined curve counting on h-transverse polygons via floor diagrams."""
 
-from .laurent import LaurentError, LaurentPoly, quantum_integer
+from .laurent import LaurentError, LaurentPoly, quantum_square
 from .polygon import HPolygon, PolygonError
 from .floordiag import DiagramError, FloorDiagram, enumerate_diagrams, refined_invariant
 from .invariants import (
@@ -43,7 +43,7 @@ __all__ = [
     "check_u_inversion",
     "enumerate_diagrams",
     "max_pairs",
-    "quantum_integer",
+    "quantum_square",
     "refined_invariant",
     "u_coeff",
 ]

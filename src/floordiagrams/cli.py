@@ -6,8 +6,8 @@ golden table row and diffs it against the engine, and `cache` inspects or
 clears the on-disk JSONL store.
 
 Exit codes are a stable contract: 0 success / all checks pass, 1 a check ran
-and disagreed, 2 usage error (bad spec, inadmissible request, or a value the
-recursion cannot reach).
+and disagreed, 2 usage error (bad spec, inadmissible request, a value the
+recursion cannot reach, or a request too large for the memory at hand).
 """
 
 from __future__ import annotations
@@ -412,6 +412,11 @@ def main(argv=None) -> int:
     args.cache = args.cache or os.environ.get(CACHE_ENV_VAR)
     try:
         return args.func(args)
+    except MemoryError:
+        # matched first and reported after the handler, which frees the
+        # request's frames: an allocation while they hold the memory (the
+        # handler's print, or the tuple of another clause) can spin for minutes
+        pass
     except InvariantError as err:
         print(f"error: {err}", file=sys.stderr)
         if err.trace is not None:
@@ -420,6 +425,8 @@ def main(argv=None) -> int:
     except (PolygonError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from functools import cache
 from itertools import product
 from math import comb, factorial
 
-from .laurent import LaurentPoly, quantum_integer
+from .laurent import LaurentPoly, mul_add, quantum_square
 
 # tallest polygon accepted.  The transfer walk behind refined_invariant takes
 # 0.002 s on rect:1,64 and 0.016 s on rect:2,14 (2-core VM, CPython 3.11),
@@ -92,7 +92,7 @@ class FloorDiagram:
         """Product of squared quantum integers over the elevator weights."""
         out = LaurentPoly.one()
         for _, _, w in self.elevators:
-            out = out * quantum_integer(w) ** 2
+            out = out * quantum_square(w)
         return out
 
     def automorphism_size(self) -> int:
@@ -269,23 +269,13 @@ def _emissions(flow: int, most: int, labelled: int, least: int = 1) -> tuple:
         return (((), 0, _ONE),)
     out = []
     for w in range(least, flow + 1):
-        square, power = tuple((e, w - abs(e)) for e in range(1 - w, w)), _ONE
+        square, power = quantum_square(w).to_coeff_dict().items(), _ONE
         for k in range(1, min(most, flow // w) + 1):
-            power = tuple(_times(dict(power), square, 1, {}).items())
+            power = tuple(mul_add(dict(power), square, 1, {}).items())
             for counts, n, mult in _emissions(flow - k * w, most - k, labelled, w + 1):
-                mult = _times(dict(mult), power, comb(labelled + n + k, k), {})
+                mult = mul_add(dict(mult), power, comb(labelled + n + k, k), {})
                 out.append((((w, k),) + counts, n + k, tuple(mult.items())))
     return tuple(out)
-
-
-def _times(poly: dict, factor: tuple, ways: int, into: dict) -> dict:
-    """Adds poly * factor * ways into `into` and returns it; poly and into
-    are {exponent: coefficient} dicts, factor (exponent, coefficient) pairs."""
-    for e2, d in factor:
-        d *= ways
-        for e, c in poly.items():
-            into[e + e2] = into.get(e + e2, 0) + c * d
-    return into
 
 
 def _tally(items, merged=(), label=0) -> tuple:
@@ -315,7 +305,7 @@ def _gap_step(states: dict, last: bool) -> dict:
                     left.append((kind, c - a))
             if weight >= least:
                 key = (tuple(left), tuple(sorted(now.items())), labelled, tops, lefts, rights)
-                _times(poly, _ONE, ways, out.setdefault(key, {}))
+                mul_add(poly, _ONE, ways, out.setdefault(key, {}))
     return out
 
 
@@ -371,7 +361,7 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int) -> dict:
                             emitted = tuple(((w, label), c) for w, c in counts)
                             now = _tally(left + emitted) if n else left
                             key = (now, waiting, labelled + n, tops - t, lrest, rrest)
-                            _times(poly, mult, top_ways, out.setdefault(key, {}))
+                            mul_add(poly, mult, top_ways, out.setdefault(key, {}))
     return out
 
 

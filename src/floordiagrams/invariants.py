@@ -251,7 +251,7 @@ class InvariantTable:
                         for v_full in base:
                             for v_cut in sweep(cut, s - 1):
                                 values.add(v_full - 2 * v_cut)
-                    out = tuple(sorted(values, key=lambda p: p.items_doubled()))
+                    out = tuple(sorted(values, key=lambda p: tuple(p.to_coeff_dict().items())))
             memo[key] = out
             return out
 

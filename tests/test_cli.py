@@ -31,6 +31,17 @@ def test_compute_text(capsys):
     assert "p2:1 g=0 s=0: 1" in out
 
 
+def test_compute_out_of_memory_exits_2(capsys, monkeypatch):
+    # a wide polygon can exhaust memory in the walk; that is not a check
+    # that disagreed (exit 1) and must not end in a traceback
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(floordiag, "_walk", exhausted)
+    code, out, err = run(capsys, "compute", "--polygon", "rect:2,2")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_compute_tallest_allowed_polygon(capsys):
     # a bidegree (1, b) class carries exactly one rational curve
     spec = f"rect:1,{MAX_HEIGHT}"
@@ -342,6 +353,7 @@ GOOD_ROW = {"surface": "QH", "a": 2, "b": 2, "genus": 0, "pairs": 0, "coeffs": {
         {"rows": [{**GOOD_ROW, "surface": "P2"}]},
         {"rows": [{**GOOD_ROW, "coeffs": [10]}]},
         {"rows": [{**GOOD_ROW, "coeffs": {"0": 10.0}}]},
+        {"rows": [GOOD_ROW, {**GOOD_ROW, "coeffs": {"0": 10, "-0": 1}}]},
         {"rows": [[2, 2]]},
         [GOOD_ROW],
         {"rows": {"0": GOOD_ROW}},
@@ -357,6 +369,7 @@ GOOD_ROW = {"surface": "QH", "a": 2, "b": 2, "genus": 0, "pairs": 0, "coeffs": {
         "unknown-surface",
         "list-coeffs",
         "float-coefficient",
+        "colliding-exponents",
         "row-not-an-object",
         "top-level-list",
         "rows-not-a-list",
@@ -572,6 +585,9 @@ GEOMETRY_LINES = (
         '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": 0}\n',
         '{"engine": "0.1.0", "polygon": [[0, 0], [2.0, 0], [2, 2], [0, 2]], "genus": 1, '
         '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": false}\n',
+        # "1" and "01" name one exponent; the last key used to win
+        '{"engine": "0.1.0", "polygon": [[0, 0], [2, 0], [2, 2], [0, 2]], "genus": 0, '
+        '"pairs": 0, "coeffs": {"-1": 1, "0": 10, "1": 1, "01": 5}, "extrapolated": false}\n',
         *GEOMETRY_LINES,
     ],
     ids=[
@@ -583,6 +599,7 @@ GEOMETRY_LINES = (
         "negative-pairs",
         "int-extrapolated",
         "float-vertex",
+        "colliding-exponents",
         "three-coordinate-vertex",
         "non-convex-polygon",
     ],

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from floordiagrams.laurent import LaurentError, LaurentPoly, quantum_integer
+from floordiagrams.laurent import LaurentError, LaurentPoly, mul_add, quantum_square
 
 polys = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
@@ -9,8 +9,8 @@ polys = st.dictionaries(
     max_size=6,
 ).map(LaurentPoly)
 
-# doubled-exponent maps: odd keys are half-integer exponents, zeros included
-doubled_maps = st.dictionaries(
+# exponent maps with zero coefficients included
+coeff_maps = st.dictionaries(
     st.integers(min_value=-9, max_value=9),
     st.integers(min_value=-5, max_value=5),
     max_size=6,
@@ -100,14 +100,10 @@ def test_evaluation_is_a_ring_map_at_both_points(p):
         assert (p * q).evaluate(q0) == p.evaluate(q0) * q.evaluate(q0)
 
 
-def test_evaluate_rejects_other_points_and_half_exponents():
+def test_evaluate_rejects_other_points():
     p = LaurentPoly({0: 1})
     with pytest.raises(LaurentError):
         p.evaluate(2)
-    half = quantum_integer(2)
-    assert half.evaluate(1) == 2
-    with pytest.raises(LaurentError):
-        half.evaluate(-1)
 
 
 def test_pow():
@@ -123,29 +119,31 @@ def test_json_round_trip(p):
     assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
 
 
-def test_quantum_integer_values():
-    assert quantum_integer(1) == LaurentPoly.one()
-    assert quantum_integer(2).items_doubled() == ((-1, 1), (1, 1))
-    assert quantum_integer(3) == LaurentPoly({-1: 1, 0: 1, 1: 1})
-    with pytest.raises(LaurentError):
-        quantum_integer(0)
+def test_quantum_square_values():
+    assert quantum_square(1) == LaurentPoly.one()
+    assert quantum_square(2) == LaurentPoly({-1: 1, 0: 2, 1: 1})
+    assert quantum_square(3) == LaurentPoly({-2: 1, -1: 2, 0: 3, 1: 2, 2: 1})
+    for bad in (0, -1, 2.0):
+        with pytest.raises(LaurentError):
+            quantum_square(bad)
 
 
-@given(st.integers(min_value=1, max_value=40))
-def test_quantum_integer_shape(n):
-    qn = quantum_integer(n)
-    assert qn.evaluate(1) == n
-    terms = dict(qn.items_doubled())
-    assert terms == {-e: c for e, c in terms.items()}
-    assert len(qn.items_doubled()) == n
-    # squares always have integer exponents: that's why multiplicities do
-    assert (qn * qn).has_integer_exponents()
+def test_quantum_square_matches_a_doubled_reference():
+    for n in range(1, 41):
+        # [n] has half-integer exponents for even n: build it with doubled
+        # keys, square it, and halve the keys, which are all even
+        doubled = _ref_mul(*[{e2: 1 for e2 in range(1 - n, n, 2)}] * 2)
+        assert all(e2 % 2 == 0 for e2 in doubled)
+        terms = quantum_square(n).to_coeff_dict()
+        assert terms == {e2 // 2: c for e2, c in doubled.items()}
+        assert terms == {-e: c for e, c in terms.items()}
+        assert quantum_square(n).evaluate(1) == n * n
 
 
 def test_quantum_square_at_minus_one():
     # [n]^2 at q=-1 is 0 for even n, 1 for odd n
-    for n in range(1, 9):
-        assert (quantum_integer(n) ** 2).evaluate(-1) == n % 2
+    for n in range(1, 41):
+        assert quantum_square(n).evaluate(-1) == n % 2
 
 
 def test_str_formatting():
@@ -154,15 +152,15 @@ def test_str_formatting():
     assert str(LaurentPoly({2: -3})) == "-3q^2"
 
 
-@given(doubled_maps, doubled_maps, st.integers(min_value=-4, max_value=4))
+@given(coeff_maps, coeff_maps, st.integers(min_value=-4, max_value=4))
 def test_arithmetic_matches_a_plain_dict_reference(f, g, n):
-    p, q = LaurentPoly.from_doubled(f), LaurentPoly.from_doubled(g)
+    p, q = LaurentPoly(f), LaurentPoly(g)
 
     def terms(poly):
-        items = poly.items_doubled()
-        assert list(items) == sorted(items)
-        assert all(c for _, c in items)
-        return dict(items)
+        out = poly.to_coeff_dict()
+        assert list(out) == sorted(out)
+        assert all(out.values())
+        return out
 
     assert terms(p) == _ref_nonzero(f)
     assert terms(p + q) == _ref_add(f, g)
@@ -174,12 +172,15 @@ def test_arithmetic_matches_a_plain_dict_reference(f, g, n):
     for k in range(4):
         assert terms(p ** k) == power
         power = _ref_mul(power, f)
+    into = {0: 1}
+    assert mul_add(f, g.items(), n, into) is into
+    assert _ref_nonzero(into) == _ref_add({0: 1}, _ref_mul(f, {e: c * n for e, c in g.items()}))
 
 
-@given(doubled_maps)
+@given(coeff_maps)
 def test_insertion_order_does_not_matter(f):
-    p = LaurentPoly.from_doubled(f)
-    q = LaurentPoly.from_doubled(dict(reversed(list(f.items()))))
+    p = LaurentPoly(f)
+    q = LaurentPoly(dict(reversed(list(f.items()))))
     assert p == q
     assert hash(p) == hash(q)
     assert str(p) == str(q)

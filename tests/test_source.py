@@ -17,3 +17,12 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_exports_resolve():
+    # a stale name in __all__ breaks `from floordiagrams import *`
+    import floordiagrams
+
+    assert floordiagrams.__all__
+    missing = [name for name in floordiagrams.__all__ if not hasattr(floordiagrams, name)]
+    assert missing == []
