@@ -125,39 +125,38 @@ def run_compute(args) -> int:
         recs = table.genus_records(polygon, genus_span)
         cells = [(genus, 0, rec, ()) for genus, rec in zip(genus_span, recs)]
     else:
-        for genus in genus_span:
-            for pairs in pairs_span:
-                try:
-                    rec = table.record(polygon, genus, pairs)
-                except InvariantError as err:
-                    err.trace = table.recursion_trace(polygon, pairs_span[-1])
-                    raise
-                cells.append((genus, pairs, rec, ()))
-    records = []
-    for genus, pairs, rec, terms in cells:
-        entry = {
-            "polygon": label,
-            "vertices": [list(v) for v in polygon.vertices],
-            "genus": genus,
-            "pairs": pairs,
-            "invariant": rec.value.to_json_dict(),
-            "extrapolated": rec.extrapolated,
-        }
-        if args.list_diagrams and args.emit == "json":
-            entry["diagrams"] = [_diagram_payload(*term) for term in terms]
-        records.append((entry, rec.value, terms))
+        # InvariantKey.make above refused any genus but 0 once pairs > 0
+        for pairs in pairs_span:
+            try:
+                rec = table.record(polygon, 0, pairs)
+            except InvariantError as err:
+                err.trace = table.recursion_trace(polygon, pairs_span[-1])
+                raise
+            cells.append((0, pairs, rec, ()))
     if args.emit == "json":
-        payload = {"engine": ENGINE_VERSION, "results": [entry for entry, _, _ in records]}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        results = []
+        for genus, pairs, rec, terms in cells:
+            entry = {
+                "polygon": label,
+                "vertices": [list(v) for v in polygon.vertices],
+                "genus": genus,
+                "pairs": pairs,
+                "invariant": rec.value.to_json_dict(),
+                "extrapolated": rec.extrapolated,
+            }
+            if args.list_diagrams:
+                entry["diagrams"] = [_diagram_payload(*term) for term in terms]
+            results.append(entry)
+        print(json.dumps({"engine": ENGINE_VERSION, "results": results}, indent=2, sort_keys=True))
     elif args.emit == "csv":
         print("polygon,genus,s,exponent,coefficient")
-        for entry, _, _ in records:
-            for exp, coeff in entry["invariant"].items():
-                print(f"{entry['polygon']},{entry['genus']},{entry['pairs']},{exp},{coeff}")
+        for genus, pairs, rec, _ in cells:
+            for exp, coeff in rec.value.to_coeff_dict().items():
+                print(f"{label},{genus},{pairs},{exp},{coeff}")
     else:
-        for entry, value, terms in records:
-            flag = "  [extrapolated]" if entry["extrapolated"] else ""
-            print(f"{entry['polygon']} g={entry['genus']} s={entry['pairs']}: {value}{flag}")
+        for genus, pairs, rec, terms in cells:
+            flag = "  [extrapolated]" if rec.extrapolated else ""
+            print(f"{label} g={genus} s={pairs}: {rec.value}{flag}")
             for dia, multiplicity, markings in terms:
                 print(
                     f"  elevators={[list(e) for e in dia.elevators]} "

@@ -22,7 +22,7 @@ def _checked(items: Iterable[tuple[int, int]]) -> dict[int, int]:
     """Nonzero terms of outside (exponent, coefficient) pairs; both must be ints."""
     terms = {}
     for e, c in items:
-        if not isinstance(e, int) or not isinstance(c, int):
+        if type(e) is not int or type(c) is not int:
             raise LaurentError("exponents and coefficients must be ints")
         if c:
             terms[e] = c
@@ -76,20 +76,10 @@ class LaurentPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return _from_terms(terms)
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms.get(e, 0) - c
-        return _from_terms(terms)
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "LaurentPoly":
         return _from_terms({e: -c for e, c in self._terms.items()})
@@ -179,6 +169,16 @@ def _from_terms(terms: dict[int, int]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = {e: c for e, c in terms.items() if c}
     return p
+
+
+def _sum(p: LaurentPoly, other, sign: int):
+    """p + sign * other, or NotImplemented when other is not a LaurentPoly."""
+    if not isinstance(other, LaurentPoly):
+        return NotImplemented
+    terms = dict(p._terms)
+    for e, c in other._terms.items():
+        terms[e] = terms.get(e, 0) + sign * c
+    return _from_terms(terms)
 
 
 def quantum_square(n: int) -> LaurentPoly:

@@ -278,24 +278,22 @@ class HPolygon:
             i for i, d in enumerate(self.self_intersections()) if d is not None and d < 0
         )
 
-    def corner_directions(self, corner):
-        """Primitive directions along both edges leaving a vertex, with lattice lengths."""
-        try:
-            i = self._vertices.index(tuple(corner))
-        except ValueError:
-            raise PolygonError(f"{corner!r} is not a vertex") from None
+    def _corner_fit(self, i: int):
+        """Primitive directions of the edges from vertex i to its next and
+        previous vertex, once both have lattice length >= 2 and the corner is
+        unimodular; raises PolygonError otherwise."""
         n = len(self._vertices)
         v = self._vertices[i]
         nxt = self._vertices[(i + 1) % n]
         prv = self._vertices[i - 1]
         u = (nxt[0] - v[0], nxt[1] - v[1])
         w = (prv[0] - v[0], prv[1] - v[1])
-        return (
-            _primitive(u),
-            _lattice_length(u),
-            _primitive(w),
-            _lattice_length(w),
-        )
+        if _lattice_length(u) < 2 or _lattice_length(w) < 2:
+            raise PolygonError("cut of depth 2 does not fit at this corner")
+        u, w = _primitive(u), _primitive(w)
+        if abs(_det(u, w)) != 1:
+            raise PolygonError("corner is not unimodular")
+        return u, w
 
     def corner_cut(self, corner):
         """Chop a lattice triangle of depth 2 off one corner.
@@ -309,12 +307,11 @@ class HPolygon:
         the generic one).  Raises PolygonError when the cut does not apply or
         the remainder has zero area or is not h-transverse.
         """
-        u, lu, w, lw = self.corner_directions(corner)
-        if lu < 2 or lw < 2:
-            raise PolygonError("cut of depth 2 does not fit at this corner")
-        if abs(_det(u, w)) != 1:
-            raise PolygonError("corner is not unimodular")
-        i = self._vertices.index(tuple(corner))
+        try:
+            i = self._vertices.index(tuple(corner))
+        except ValueError:
+            raise PolygonError(f"{corner!r} is not a vertex") from None
+        u, w = self._corner_fit(i)
         negative = self.negative_edges()
         n = len(self._vertices)
         if i in negative or (i - 1) % n in negative:
@@ -350,10 +347,12 @@ class HPolygon:
         corner fits a depth-2 cut at all, or cuts would fit geometrically but
         every candidate corner touches a negative divisor.
         """
-        for v in self._vertices:
-            u, lu, w, lw = self.corner_directions(v)
-            if lu >= 2 and lw >= 2 and abs(_det(u, w)) == 1:
-                return True
+        for i in range(len(self._vertices)):
+            try:
+                self._corner_fit(i)
+            except PolygonError:
+                continue
+            return True
         return False
 
     # -- toric surface shape ------------------------------------------------

@@ -521,7 +521,8 @@ def test_cache_cli_flow(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["passed"] is True
     # flip a stored coefficient: verification must fail
-    lines = [json.loads(l) for l in open(path)]
+    with open(path) as fh:
+        lines = [json.loads(l) for l in fh]
     lines[0]["coeffs"]["0"] = 12345
     with open(path, "w") as fh:
         for line in lines:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +49,30 @@ def test_construction_rejects_non_ints():
     for coeff in (7.9, 7.0, True, "7"):
         with pytest.raises(LaurentError):
             LaurentPoly.from_json_dict({"0": coeff})
+
+
+def test_construction_rejects_bools():
+    # bool is an int subclass, but from_json_dict refuses a JSON true, so the
+    # constructor must not accept a map its own JSON form cannot be read from
+    with pytest.raises(LaurentError):
+        LaurentPoly({0: True})
+    with pytest.raises(LaurentError):
+        LaurentPoly({True: 2})
+
+
+@given(
+    st.dictionaries(
+        st.one_of(st.integers(-9, 9), st.booleans()),
+        st.one_of(st.integers(), st.booleans()),
+        max_size=6,
+    )
+)
+def test_every_accepted_map_survives_json(coeffs):
+    try:
+        p = LaurentPoly(coeffs)
+    except LaurentError:
+        return
+    assert LaurentPoly.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
 
 
 def test_zero_and_one():

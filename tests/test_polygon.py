@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -218,6 +220,35 @@ def test_blocked_hexagon_has_no_room():
     pent = HPolygon([(0, 2), (2, 0), (4, 0), (2, 2), (0, 3)])
     assert pent.admissible_cut_corners() == ()
     assert pent.has_room_for_cut()
+
+
+def room_refusal(polygon, i):
+    """Why a depth-2 cut cannot sit at vertex i, from the two edge vectors
+    alone: an edge of lattice length below 2, or a cone of index |det| / (lu lw)
+    other than 1; None when it fits."""
+    v, n = polygon.vertices[i], len(polygon.vertices)
+    nxt, prv = polygon.vertices[(i + 1) % n], polygon.vertices[i - 1]
+    u = (nxt[0] - v[0], nxt[1] - v[1])
+    w = (prv[0] - v[0], prv[1] - v[1])
+    lu, lw = gcd(*u), gcd(*w)
+    if lu < 2 or lw < 2:
+        return "does not fit"
+    if abs(u[0] * w[1] - u[1] * w[0]) != lu * lw:
+        return "not unimodular"
+    return None
+
+
+@given(h_transverse_polygons())
+def test_corner_cut_refuses_exactly_the_corners_without_room(polygon):
+    refusals = [room_refusal(polygon, i) for i in range(len(polygon.vertices))]
+    for corner, want in zip(polygon.vertices, refusals):
+        try:
+            polygon.corner_cut(corner)
+            got = None
+        except PolygonError as err:
+            got = next((r for r in ("does not fit", "not unimodular") if r in str(err)), None)
+        assert got == want
+    assert polygon.has_room_for_cut() == (None in refusals)
 
 
 def test_small_del_pezzo_fans():
