@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .fixtures import read_json, reference_rows
 from .floordiag import diagram_sum, diagram_terms, refined_invariant
@@ -68,14 +69,17 @@ INDEPENDENCE_CASES = (
 )
 
 
-def _parse_span(text: str) -> range:
-    """Parse "3" or "0..5" into an inclusive integer range."""
+def _parse_span(text: str, option: str) -> range:
+    """Parse "3" or "0..5", the value of option, into an inclusive integer range."""
     lo, sep, hi = text.partition("..")
-    start = int(lo)
-    stop = int(hi) if sep else start
-    if start < 0 or stop < start:
-        raise ValueError(f"bad range {text!r}")
-    return range(start, stop + 1)
+    try:
+        start = int(lo)
+        stop = int(hi) if sep else start
+        if 0 <= start <= stop:
+            return range(start, stop + 1)
+    except ValueError:
+        pass
+    raise ValueError(f"bad {option} {text!r}: expected N or A..B with 0 <= A <= B")
 
 
 def _load_polygon(args):
@@ -101,8 +105,8 @@ def _diagram_payload(dia, multiplicity, markings) -> dict:
 
 def run_compute(args) -> int:
     polygon, label = _load_polygon(args)
-    genus_span = _parse_span(args.genus)
-    pairs_span = _parse_span(args.pairs)
+    genus_span = _parse_span(args.genus, "--genus")
+    pairs_span = _parse_span(args.pairs, "--pairs")
     if args.list_diagrams and pairs_span[-1] > 0:
         raise ValueError("--list-diagrams only applies to pairs = 0")
     # refuse an inadmissible span before any record is computed or cached
@@ -354,7 +358,9 @@ def run_cache(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building costs about 15 parses."""
     parser = argparse.ArgumentParser(
         prog="floordiagrams",
         description="Exact refined curve counts on h-transverse polygons.",

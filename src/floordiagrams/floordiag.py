@@ -16,7 +16,8 @@ boundary slopes admit several assignments and each contributes diagrams.
 refined_invariants sums multiplicity times markings over all diagrams with a
 transfer walk up the gaps and floors that labels ends and elevators, drops
 partial markings which cannot finish, and never builds a diagram; on a
-polygon whose top row is one point one walk gives a whole genus column.
+polygon whose top row is one point one walk gives a whole genus column, and
+a polygon whose rows narrow by two or more per floor is walked upside down.
 enumerate_diagrams, marking_count and diagram_sum give the same sum diagram
 by diagram, for --list-diagrams and the tests.
 """
@@ -30,6 +31,7 @@ from itertools import product
 from math import comb, factorial
 
 from .laurent import LaurentPoly, mul_add, quantum_square
+from .polygon import HPolygon
 
 # tallest polygon accepted.  The transfer walk behind refined_invariant takes
 # 0.002 s on rect:1,64 and 0.016 s on rect:2,14 (2-core VM, CPython 3.11),
@@ -407,6 +409,12 @@ def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
     the greatest asked for, and each final state's labelled count gives its
     genus.  Elsewhere the places of the top ends depend on how many elevators
     are still to come, so each genus takes a walk of its own.
+
+    Unless one walk serves several genera so, a polygon whose rows narrow by
+    two or more per floor on average is walked upside down, reflected by
+    (x, y) -> (x, h - y), which keeps every value and turns its many bottom
+    ends, which the state labels, into top ends, which it does not: sigma2:3,3
+    takes half the time, while P^2 (one per floor) would get slower, p2:7 3x.
     """
     genera = sorted(set(genera))
     if genera and genera[0] < 0:
@@ -414,10 +422,13 @@ def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
     if polygon.height > MAX_HEIGHT:
         raise DiagramError(f"height {polygon.height} is above the bound of {MAX_HEIGHT}")
     widths = polygon.floor_profile()
-    base = widths[0] + polygon.height - 1  # labelled elements at genus 0
     spans = [(g, g) for g in genera]
-    if widths[-1] == 0 and genera:
+    if widths[-1] == 0 and len(genera) > 1:
         spans = [(genera[0], genera[-1])]
+    elif widths[0] - widths[-1] >= 2 * polygon.height:
+        polygon = HPolygon([(x, polygon.height - y) for x, y in polygon.vertices])
+        widths = widths[::-1]
+    base = widths[0] + polygon.height - 1  # labelled elements at genus 0
     out = dict.fromkeys(genera, LaurentPoly.zero())
     for lo, hi in spans:
         for labelled, value in _walk(polygon, widths, base + lo, base + hi).items():

@@ -118,9 +118,9 @@ class HPolygon:
     def sigma2_trapezoid(cls, a: int, b: int) -> "HPolygon":
         """Trapezoid with vertices (0,0), (2a+b,0), (b,a), (0,a).
 
-        Newton polygon of the class a*f + b*s on the second Hirzebruch
-        surface, where f is the fiber and s the (-2)-section; needs a >= 1,
-        b >= 0.
+        Newton polygon of the class a*e + b*f on the second Hirzebruch
+        surface, where f is the fiber and e = s + 2f the section of square 2
+        (s the (-2)-section, dual to the top edge); needs a >= 1, b >= 0.
         """
         if a < 1 or b < 0:
             raise PolygonError("trapezoid needs a >= 1 and b >= 0")

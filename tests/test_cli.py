@@ -79,9 +79,24 @@ def test_compute_huge_pairs_range_is_refused_at_once(capsys):
     assert err.startswith("error: pairs = 1000000000000 exceeds half the point count")
 
 
-@pytest.mark.parametrize("spec, span, walks", [("p2:5", "0..6", 1), ("rect:4,3", "0..2", 3)])
+WALKS = [
+    # rows that narrow by two or more per floor are walked upside down
+    ("sigma2:3,3", "0", [(3, 5, 7, 9)]),
+    ("sigma2:4,0", "1", [(0, 2, 4, 6, 8)]),
+    # unless one walk serves the column of a polygon whose top row is a point
+    ("sigma2:4,0", "0..3", [(8, 6, 4, 2, 0)]),
+    # P^2 narrows by one per floor
+    ("p2:5", "0..6", [(5, 4, 3, 2, 1, 0)]),
+    ("p2:6", "0", [(6, 5, 4, 3, 2, 1, 0)]),
+    ("rect:4,3", "0..2", [(4, 4, 4, 4)] * 3),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, span, walks", WALKS, ids=[f"{spec}-{span}-{len(w)}" for spec, span, w in WALKS]
+)
 def test_compute_genus_column_walks(capsys, monkeypatch, spec, span, walks):
-    # a polygon whose top row is one point takes one walk for the column
+    # the widths each walk receives, bottom row first
     calls = []
     walk = floordiag._walk
 
@@ -92,7 +107,7 @@ def test_compute_genus_column_walks(capsys, monkeypatch, spec, span, walks):
     monkeypatch.setattr(floordiag, "_walk", counting_walk)
     code, _, _ = run(capsys, "compute", "--polygon", spec, "--genus", span)
     assert code == 0
-    assert len(calls) == walks
+    assert [widths for _, widths, *_ in calls] == walks
 
 
 @pytest.mark.parametrize("spec, top", [("p2:5", 6), ("sigma2:3,0", 2), ("rect:3,3", 4)])
@@ -227,6 +242,13 @@ def test_compute_usage_errors(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error:" in err
+    # a malformed span names its option and the accepted forms in one line
+    for option, text in (
+        ("--genus", "abc"), ("--genus", "1.."), ("--genus", "1..2..3"), ("--pairs", "x"),
+    ):
+        code, out, err = run(capsys, "compute", "--polygon", "rect:2,2", option, text)
+        assert (code, out) == (2, ""), text
+        assert err == f"error: bad {option} {text!r}: expected N or A..B with 0 <= A <= B\n"
     # a malformed polygon file is named in one stderr line, never truncated to ints
     for data, problem in (
         ({"corners": [[0, 0], [1, 0], [0, 1]]}, '"vertices" list'),

@@ -300,10 +300,15 @@ def test_transfer_walk_matches_enumeration():
     assert cells == 940
 
 
-@pytest.mark.parametrize("spec", ["rect:1,7", "rect:2,5", "rect:2,6", "rect:3,4", "p2:5"])
+@pytest.mark.parametrize(
+    "spec",
+    ["rect:1,7", "rect:2,5", "rect:2,6", "rect:3,4", "p2:5", "sigma2:2,2", "sigma2:3,0", "sigma2:3,1"],
+)
 def test_transfer_walk_matches_enumeration_on_tall_polygons(spec):
-    # small_polygons stops at height 3, but the walk's connectivity bound
-    # weighs elevators still to come against the floors left above
+    # small_polygons stops at height 3 and width 3, but the walk's
+    # connectivity bound weighs elevators still to come against the floors
+    # left above, and only two of its polygons narrow by two per floor, which
+    # the walk reflects upside down, as it does the trapezoids here
     poly = HPolygon.from_spec(spec)
     for genus in range(poly.interior_lattice_count() + 2):
         assert refined_invariant(poly, genus) == enumerated_sum(poly, genus), genus

@@ -1,4 +1,4 @@
-"""Published genus-0 counts on the plane and the quadric, computed without
+"""Published genus-0 counts on the plane, the quadric and F2, computed without
 the engine."""
 
 from functools import cache
@@ -80,3 +80,31 @@ def test_quadric_recursion_gives_the_published_numbers():
 )
 def test_quadric_complex_count_matches_wdvv(table, a, b):
     assert table.gw_value(HPolygon.rectangle(a, b), 0) == quadric_count(a, b)
+
+
+def f2_count(a: int, b: int) -> int:
+    """Rational curves in the class a e + b f on the Hirzebruch surface F2
+    (f a fiber, e the section of square 2) through 4a + 2b - 1 general
+    points, by the formula of Abramovich-Bertram ("The formula 12 = 10 + 2 x 1
+    and its generalizations") over the quadric counts of the deformation of
+    F2 to P^1 x P^1, where a e + b f becomes bidegree (a + b, a): the sum over k
+    of u(b, k) N_(a+b+k, a-k) with a - k >= 1, where
+    u(b, k) = (-1)^k (C(b+k, b) + C(b+k-1, b)) and C(b-1, b) = 0."""
+    return sum(
+        (-1) ** k * (comb(b + k, b) + (comb(b + k - 1, b) if k else 0))
+        * quadric_count(a + b + k, a - k)
+        for k in range(a)
+    )
+
+
+def test_f2_formula_gives_the_published_numbers():
+    # 12 = 10 + 2 x 1: N_(2,2) on the quadric against the class 2e on F2
+    assert f2_count(2, 0) == 10
+    assert [f2_count(1, b) for b in range(6)] == [1] * 6
+
+
+@pytest.mark.parametrize(
+    "a, b", [(a, b) for a in range(1, 5) for b in range(7 - a)] + [(5, 0)]
+)
+def test_f2_complex_count_matches_abramovich_bertram(table, a, b):
+    assert table.gw_value(HPolygon.sigma2_trapezoid(a, b), 0) == f2_count(a, b)
