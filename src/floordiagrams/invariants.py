@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple
 
 from .floordiag import MAX_HEIGHT, refined_invariant as _direct_invariant, refined_invariants
 from .laurent import LaurentPoly
@@ -61,8 +62,7 @@ def max_pairs(polygon) -> int:
     return polygon.point_count(0) // 2
 
 
-@dataclass(frozen=True)
-class InvariantKey:
+class InvariantKey(NamedTuple):
     """Canonical table key; polygon part is the canonical vertex tuple."""
 
     polygon: tuple
@@ -87,13 +87,15 @@ class InvariantKey:
         return cls(polygon.canonical_key(), genus, pairs)
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     value: LaurentPoly
     extrapolated: bool
 
 
 _INT = frozenset((int,))
+_LIST = frozenset((list,))
+_FIELDS = ("polygon", "genus", "pairs", "coeffs", "extrapolated")
+_get_fields = itemgetter(*_FIELDS)
 
 
 def _parse_cache_line(line: str):
@@ -101,28 +103,33 @@ def _parse_cache_line(line: str):
     of another engine version, or a zero-area cut remainder written by an
     earlier build."""
     entry = json.loads(line)
-    if not isinstance(entry, dict):
+    if type(entry) is not dict:
         raise ValueError("not a JSON object")
     if entry.get("engine") != ENGINE_VERSION or entry.get("polygon") == "degenerate":
         return None
-    fields = ("polygon", "genus", "pairs", "coeffs", "extrapolated")
-    missing = [field for field in fields if field not in entry]
-    if missing:
-        raise ValueError(f"missing {', '.join(missing)}")
-    # type checks only, in C-level calls because every request reloads the
-    # cache: a bool, a float or a string would compare equal to, or be
-    # coerced into, a valid field and serve a wrong answer
-    genus, pairs = entry["genus"], entry["pairs"]
+    try:
+        polygon, genus, pairs, coeffs, extrapolated = _get_fields(entry)
+    except KeyError:
+        missing = [field for field in _FIELDS if field not in entry]
+        raise ValueError(f"missing {', '.join(missing)}") from None
+    # type and shape checks only, in C-level calls because every request
+    # reloads the cache: a bool, a float or a string would compare equal to,
+    # or be coerced into, a valid field and serve a wrong answer
     if type(genus) is not int or type(pairs) is not int or genus < 0 or pairs < 0:
         raise ValueError("genus and pairs must be integers >= 0")
-    if type(entry["extrapolated"]) is not bool:
+    if type(extrapolated) is not bool:
         raise ValueError("extrapolated must be true or false")
-    key_poly = tuple(map(tuple, entry["polygon"]))
+    if type(polygon) is not list or not _LIST.issuperset(map(type, polygon)):
+        raise ValueError("polygon must be a list of [x, y] integer pairs")
+    key_poly = tuple(map(tuple, polygon))
     if not _INT.issuperset(map(type, chain.from_iterable(key_poly))):
         raise ValueError("polygon coordinates must be integers")
-    key = InvariantKey(key_poly, genus, pairs)
-    rec = InvariantRecord(LaurentPoly.from_json_dict(entry["coeffs"]), entry["extrapolated"])
-    return key, rec
+    if type(coeffs) is not dict:
+        raise ValueError("coeffs must be a JSON object")
+    return (
+        InvariantKey(key_poly, genus, pairs),
+        InvariantRecord(LaurentPoly.from_json_dict(coeffs), extrapolated),
+    )
 
 
 class InvariantTable:
@@ -301,35 +308,38 @@ class InvariantTable:
     # -- cache ---------------------------------------------------------------
 
     def _load_cache(self):
-        loaded: dict[InvariantKey, InvariantRecord] = {}
+        # _records is empty here: the table is built around its cache
+        loaded = self._records
         polygons: dict[InvariantKey, HPolygon] = {}  # built only to verify
         with open(self._cache_path, encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if not raw.endswith("\n"):
-                    # only the last line can lack its newline: a crash cut it
-                    # short, so it is skipped, and the next append cuts it off
-                    self._torn_cache_lines += 1
-                    end = os.fstat(handle.fileno()).st_size
-                    self._torn = (end - len(raw.encode("utf-8")), end)
-                    continue
-                try:
-                    parsed = _parse_cache_line(line)
-                    if self._verify_cache and parsed:
-                        polygons[parsed[0]] = HPolygon(parsed[0].polygon)
-                except (ValueError, TypeError, AttributeError) as err:
-                    raise InvariantError(
-                        f"malformed cache line {number} of {self._cache_path}: {err}"
-                    ) from None
-                if parsed is None:
-                    self._stale_cache_lines += 1
-                    continue
-                key, rec = parsed
-                if key in loaded and loaded[key].value != rec.value:
-                    raise InvariantError(f"conflicting cache entries for {key}")
-                loaded[key] = rec
+            lines = handle.read().split("\n")
+            tail = lines.pop()
+            if tail.strip():
+                # only the last line can lack its newline: a crash cut it
+                # short, so it is skipped, and the next append cuts it off
+                self._torn_cache_lines += 1
+                end = os.fstat(handle.fileno()).st_size
+                self._torn = (end - len(tail.encode("utf-8")), end)
+        for number, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                parsed = _parse_cache_line(line)
+                if self._verify_cache and parsed:
+                    polygons[parsed[0]] = HPolygon(parsed[0].polygon)
+            except ValueError as err:  # the shape checks leave no TypeError
+                raise InvariantError(
+                    f"malformed cache line {number} of {self._cache_path}: {err}"
+                ) from None
+            if parsed is None:
+                self._stale_cache_lines += 1
+                continue
+            key, rec = parsed
+            known = loaded.get(key)
+            if known is not None and known.value != rec.value:
+                raise InvariantError(f"conflicting cache entries for {key}")
+            loaded[key] = rec
         if self._verify_cache:
             scratch = InvariantTable()
             for key, polygon in polygons.items():
@@ -341,7 +351,6 @@ class InvariantTable:
                         f"{rec.value.to_json_dict()} cached, "
                         f"{fresh.value.to_json_dict()} recomputed"
                     )
-        self._records.update(loaded)
 
     def _append_cache(self, key: InvariantKey, rec: InvariantRecord):
         if not self._cache_path:

@@ -128,10 +128,15 @@ class LaurentPoly:
         keys that name one exponent ("1" and "01"), not one of them dropped."""
         if not _INT.issuperset(map(type, data.values())):
             raise LaurentError("coefficients must be integers")
-        terms = {int(e): c for e, c in data.items()}
+        terms = dict(zip(map(int, data), data.values()))
         if len(terms) != len(data):
             raise LaurentError("two keys name the same exponent")
-        return _from_terms(terms)
+        if 0 in terms.values():
+            return _from_terms(terms)
+        # terms is a dict of its own, so without zeros to drop it is kept
+        p = cls.__new__(cls)
+        p._terms = terms
+        return p
 
     # -- dunder plumbing ----------------------------------------------------
 

@@ -83,3 +83,30 @@ def test_traced_verify_and_listing_reach_the_surgery_and_floordiag_wrappers(caps
     enumerator = [name for name in counts if name.startswith(ENUMERATOR_COUNTERS)]
     assert len(enumerator) == 7
     assert all(counts[name] for name in enumerator), counts
+
+
+def test_traced_cache_hits_count_every_line_and_every_stored_record(capsys, tmp_path):
+    # the tracer counts lines read through invariants.json.loads and tells a
+    # cache hit by the identity of the record the load stored
+    path = tmp_path / "cache.jsonl"
+    requests = (
+        ["--cache", str(path), "compute", "--polygon", "rect:2,2", "--pairs", "0..2"],
+        ["--cache", str(path), "compute", "--polygon", "sigma2:2,1", "--pairs", "0..2"],
+    )
+    assert [cli.main(argv) for argv in requests] == [0, 0]
+    with path.open() as fh:
+        lines = len(fh.readlines())
+    tracer = load_tracer()
+    try:
+        tracer.install(MODULES)
+        codes = [cli.main(argv) for argv in requests + requests[:1]]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0, 0]
+    counts = tracer.counts()
+    assert tracer.count["invariants.cache.load"] == 3
+    assert counts["invariants.cache.lines_read"] == 3 * lines
+    assert counts["invariants.cache.lookups"] > 0
+    assert counts["invariants.cache.hit_ratio"] == 1.0
+    assert counts["invariants.cache.lines_appended"] == 0

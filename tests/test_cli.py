@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from floordiagrams.invariants import (
     InvariantTable,
 )
 from floordiagrams.polygon import HPolygon
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -554,8 +560,6 @@ def test_cache_cli_flow(capsys, tmp_path):
     assert json.loads(out)["passed"] is False
     code, out, _ = run(capsys, "--cache", path, "cache", "clear")
     assert code == 0
-    import os
-
     assert not os.path.exists(path)
 
 
@@ -647,6 +651,52 @@ def test_cache_malformed_line(capsys, tmp_path, bad_line):
     assert code == 1
     report = json.loads(out)
     assert report["passed"] is False and where in report["error"]
+
+
+SQUARE = '"polygon": [[0, 0], [2, 0], [2, 2], [0, 2]]'
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (f'{SQUARE}, "coeffs": [1, 2]', "coeffs must be a JSON object"),
+        ('"polygon": 7, "coeffs": {"0": 1}', "polygon must be a list of [x, y] integer pairs"),
+        (
+            '"polygon": [[0, 0], 5, [2, 2], [0, 2]], "coeffs": {"0": 1}',
+            "polygon must be a list of [x, y] integer pairs",
+        ),
+    ],
+    ids=["list-coeffs", "int-polygon", "int-vertex"],
+)
+def test_cache_wrong_shapes_name_the_field(capsys, tmp_path, fields, message):
+    path = tmp_path / "cache.jsonl"
+    code, _, _ = run(capsys, "--cache", str(path), "compute", "--polygon", "rect:1,2")
+    assert code == 0
+    with path.open("a") as fh:
+        fh.write(f'{{"engine": "0.1.0", {fields}, "genus": 0, "pairs": 0, "extrapolated": false}}\n')
+    expected = f"error: malformed cache line 2 of {path}: {message}\n"
+    for argv in (("compute", "--polygon", "rect:1,2"), ("cache", "stats")):
+        assert run(capsys, "--cache", str(path), *argv) == (2, "", expected)
+
+
+def test_malformed_cache_exits_2_under_python_O(tmp_path):
+    # python -O strips assert statements; the load checks must not rest on one
+    path = tmp_path / "cache.jsonl"
+    InvariantTable(cache_path=str(path)).refined_invariant(HPolygon.rectangle(1, 2), 0)
+    with path.open("a") as fh:
+        fh.write(f'{{"engine": "0.1.0", {SQUARE}, "genus": 0, "pairs": 0, '
+                 '"coeffs": {"0": 7.9}, "extrapolated": false}\n')
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop(CACHE_ENV_VAR, None)
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "floordiagrams.cli", "--cache", str(path),
+         "compute", "--polygon", "rect:1,2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"error: malformed cache line 2 of {path}: coefficients must be integers\n"
+    )
 
 
 def test_cache_skips_a_torn_last_line(capsys, tmp_path):

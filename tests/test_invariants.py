@@ -239,6 +239,104 @@ def test_cache_skips_stale_engine_lines(tmp_path):
     assert stats["stale_lines"] == 1
 
 
+def _populated(path):
+    """A cache file at path holding the four records of rect:2,2 --pairs 0..1
+    and p2:3 g=0, and the table that wrote them."""
+    table = InvariantTable(cache_path=str(path))
+    table.refined_descendant(HPolygon.rectangle(2, 2), 1)
+    table.refined_invariant(HPolygon.p2_triangle(3), 0)
+    return table
+
+
+def _loaded(path) -> tuple:
+    table = InvariantTable(cache_path=str(path))
+    stats = table.cache_stats()
+    del stats["path"]
+    return table.items(), stats
+
+
+def test_key_keeps_its_repr_equality_and_hash():
+    # cache errors print the key, and the table hashes it on every lookup
+    key = InvariantKey.make(HPolygon.rectangle(1, 2), 0, 1)
+    assert repr(key) == (
+        "InvariantKey(polygon=((0, 0), (1, 0), (1, 2), (0, 2)), genus=0, pairs=1)"
+    )
+    assert key == InvariantKey(((0, 0), (1, 0), (1, 2), (0, 2)), 0, 1)
+    assert key != InvariantKey(key.polygon, 1, 0)
+    assert hash(key) == hash((key.polygon, key.genus, key.pairs))
+    assert {key: 1}[InvariantKey.make(HPolygon.rectangle(1, 2), 0, 1)] == 1
+
+
+def test_cache_with_crlf_line_ends_loads_like_lf(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _populated(path)
+    lf = _loaded(path)
+    assert lf[1] == {"records": 4, "stale_lines": 0, "torn_lines": 0}
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert _loaded(path) == lf
+
+
+def test_cache_skips_blank_and_whitespace_lines(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _populated(path)
+    expected = _loaded(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("\n" + lines[0] + "   \n\t\n" + "".join(lines[1:]) + " \t \n")
+    assert _loaded(path) == expected
+    # skipped lines still count toward the line number an error names
+    with path.open("a") as fh:
+        fh.write("[]\n")
+    with pytest.raises(InvariantError, match=f"malformed cache line {len(lines) + 5} of"):
+        InvariantTable(cache_path=str(path))
+
+
+def test_cache_whitespace_tail_is_neither_torn_nor_malformed(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _populated(path)
+    expected = _loaded(path)
+    with path.open("a") as fh:
+        fh.write("  \t")
+    assert _loaded(path) == expected
+    # the next append starts after the blanks, which the next load skips
+    table = InvariantTable(cache_path=str(path))
+    table.refined_invariant(HPolygon.rectangle(1, 1), 0)
+    assert path.read_text().splitlines()[-1].startswith('  \t{"engine"')
+    assert _loaded(path)[1] == {"records": 5, "stale_lines": 0, "torn_lines": 0}
+
+
+def test_cache_duplicates_conflict_only_on_a_different_value(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _populated(path)
+    expected = _loaded(path)
+    entry = json.loads(path.read_text().splitlines()[0])
+    assert entry["polygon"] == [[0, 0], [2, 0], [2, 2], [0, 2]]
+    entry["coeffs"]["5"] = 0  # an explicit zero names the same value
+    with path.open("a") as fh:
+        fh.write(json.dumps(entry) + "\n")
+    assert _loaded(path) == expected
+    entry["coeffs"]["5"] = 1
+    with path.open("a") as fh:
+        fh.write(json.dumps(entry) + "\n")
+    key = "InvariantKey(polygon=((0, 0), (2, 0), (2, 2), (0, 2)), genus=0, pairs=0)"
+    with pytest.raises(InvariantError) as info:
+        InvariantTable(cache_path=str(path))
+    assert str(info.value) == f"conflicting cache entries for {key}"
+
+
+def test_cache_torn_multibyte_tail_is_cut_at_its_byte_offset(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _populated(path)
+    good = path.read_bytes()
+    path.write_bytes(good + '{"engine": "\u00e9'.encode("utf-8"))
+    table = InvariantTable(cache_path=str(path))
+    assert table.cache_stats()["torn_lines"] == 1
+    table.refined_invariant(HPolygon.rectangle(1, 1), 0)
+    text = path.read_bytes()
+    assert text.startswith(good) and text.count(b"\n") == good.count(b"\n") + 1
+    assert json.loads(text[len(good):])["polygon"] == [[0, 0], [1, 0], [1, 1], [0, 1]]
+    assert _loaded(path)[1] == {"records": 5, "stale_lines": 0, "torn_lines": 0}
+
+
 def test_genus_values_delegate_to_diagrams(table):
     cubic = table.refined_invariant(HPolygon.p2_triangle(3), 0)
     assert cubic == LaurentPoly({-1: 1, 0: 10, 1: 1})

@@ -75,6 +75,40 @@ def test_every_accepted_map_survives_json(coeffs):
     assert LaurentPoly.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
 
 
+def test_from_json_dict_drops_zero_coefficients():
+    p = LaurentPoly.from_json_dict({"-1": 1, "0": 0, "2": 3})
+    assert p == LaurentPoly({-1: 1, 2: 3})
+    assert p.to_json_dict() == {"-1": 1, "2": 3}
+    assert not LaurentPoly.from_json_dict({"0": 0, "4": 0})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"0": True}, "coefficients must be integers"),
+        ({"0": 1, "1": 2.0}, "coefficients must be integers"),
+        ({"0": "1"}, "coefficients must be integers"),
+        ({"1": 1, "01": 5}, "two keys name the same exponent"),
+    ],
+)
+def test_from_json_dict_refusals(data, message):
+    with pytest.raises(LaurentError) as info:
+        LaurentPoly.from_json_dict(data)
+    assert str(info.value) == message
+
+
+def test_from_json_dict_never_aliases_its_argument():
+    # with or without a zero to drop, and with keys that are already ints
+    for data, kept in (
+        ({"0": 10, "1": 1}, {0: 10, 1: 1}),
+        ({"0": 10, "1": 0}, {0: 10}),
+        ({0: 10, 1: 1}, {0: 10, 1: 1}),
+    ):
+        p = LaurentPoly.from_json_dict(data)
+        data.clear()
+        assert p.to_coeff_dict() == kept
+
+
 def test_zero_and_one():
     assert not LaurentPoly.zero()
     assert LaurentPoly.one().to_coeff_dict() == {0: 1}
