@@ -18,7 +18,7 @@ import os
 import sys
 from functools import cache
 
-from .fixtures import read_json, reference_rows
+from .fixtures import read_json, reference_rows, surface_polygon
 from .floordiag import diagram_sum, diagram_terms, refined_invariant
 from .invariants import (
     CACHE_ENV_VAR,
@@ -173,11 +173,12 @@ def run_compute(args) -> int:
 
 def _replay(table, rows, emit: str) -> int:
     """Replay golden rows against table, print the report, return its exit code."""
+    polygon = cache(surface_polygon)  # rows share their polygons
     report = []
     for row in rows:
         entry = {"row": row.label(), "expected": row.value.to_json_dict()}
         try:
-            rec = table.record(row.polygon(), row.genus, row.pairs)
+            rec = table.record(polygon(row.surface, row.a, row.b), row.genus, row.pairs)
         except InvariantError as err:
             entry["status"] = "stuck"
             entry["error"] = str(err)
@@ -280,8 +281,10 @@ def _check_independence(table) -> dict:
 
 
 def _check_conjecture(table) -> dict:
+    polygon = cache(surface_polygon)  # instances share their polygons
     instances = [
-        surgery.check_conjecture_quadric(table, *instance) for instance in CONJECTURE_INSTANCES
+        surgery.check_conjecture_quadric(table, *instance, build=polygon)
+        for instance in CONJECTURE_INSTANCES
     ]
     skipped = [
         {"a": a, "b": b, "genus": g, "pairs": s, "reason": "pair recursion stuck"}

@@ -23,22 +23,30 @@ class ReferenceRow:
     value: LaurentPoly
 
     def polygon(self) -> HPolygon:
-        if self.surface == "QH":
-            return HPolygon.rectangle(self.a, self.b)
-        return HPolygon.sigma2_trapezoid(self.a, self.b)
+        return surface_polygon(self.surface, self.a, self.b)
 
     def label(self) -> str:
         shape = "rect" if self.surface == "QH" else "sigma2"
         return f"{shape}:{self.a},{self.b} g={self.genus} s={self.pairs}"
 
 
+def surface_polygon(surface: str, a: int, b: int) -> HPolygon:
+    """Newton polygon of the class (a, b): a rectangle on QH, a trapezoid on Sigma2."""
+    if surface == "QH":
+        return HPolygon.rectangle(a, b)
+    return HPolygon.sigma2_trapezoid(a, b)
+
+
 def read_json(path: str):
-    """Parse a JSON file; a syntax error is a ValueError that names the file."""
+    """Parse a JSON file; a syntax error or a byte that is not UTF-8 is a
+    ValueError that names the file."""
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except json.JSONDecodeError as err:
             raise ValueError(f"malformed JSON in {path}: {err}") from None
+        except UnicodeDecodeError as err:
+            raise ValueError(f"not UTF-8: byte {err.start} of {path}") from None
 
 
 def _load(path: str | None = None) -> dict:

@@ -94,6 +94,7 @@ class InvariantRecord(NamedTuple):
 
 _INT = frozenset((int,))
 _LIST = frozenset((list,))
+_PAIR = frozenset((2,))
 _FIELDS = ("polygon", "genus", "pairs", "coeffs", "extrapolated")
 _get_fields = itemgetter(*_FIELDS)
 
@@ -119,7 +120,8 @@ def _parse_cache_line(line: str):
         raise ValueError("genus and pairs must be integers >= 0")
     if type(extrapolated) is not bool:
         raise ValueError("extrapolated must be true or false")
-    if type(polygon) is not list or not _LIST.issuperset(map(type, polygon)):
+    if (type(polygon) is not list or not _LIST.issuperset(map(type, polygon))
+            or not _PAIR.issuperset(map(len, polygon))):
         raise ValueError("polygon must be a list of [x, y] integer pairs")
     key_poly = tuple(map(tuple, polygon))
     if not _INT.issuperset(map(type, chain.from_iterable(key_poly))):
@@ -312,7 +314,14 @@ class InvariantTable:
         loaded = self._records
         polygons: dict[InvariantKey, HPolygon] = {}  # built only to verify
         with open(self._cache_path, encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
+            try:
+                lines = handle.read().split("\n")
+            except UnicodeDecodeError as err:
+                # err.object holds the whole file: read() decodes it at once
+                number = err.object.count(b"\n", 0, err.start) + 1
+                raise InvariantError(
+                    f"malformed cache line {number} of {self._cache_path}: not UTF-8"
+                ) from None
             tail = lines.pop()
             if tail.strip():
                 # only the last line can lack its newline: a crash cut it

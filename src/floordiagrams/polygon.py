@@ -65,10 +65,12 @@ class HPolygon:
 
     Vertices are stored counterclockwise starting from the lexicographically
     smallest one, translated so the bounding box corner sits at the origin.
-    Instances are immutable value objects.
+    Instances are immutable value objects.  Twice the area is computed on
+    construction; the canonical key, the boundary lattice count and the
+    self-intersections are computed on first use and kept in their slots.
     """
 
-    __slots__ = ("_vertices",)
+    __slots__ = ("_vertices", "_area2", "_key", "_boundary", "_degrees")
 
     def __init__(self, vertices):
         pts = list(vertices)
@@ -78,9 +80,10 @@ class HPolygon:
                     and all(type(c) is int for c in v)):
                 raise PolygonError(f"vertex {v!r} is not a pair of integers")
         pts = _clean_loop([tuple(v) for v in pts])
-        if len(pts) < 3 or _signed_area2(pts) == 0:
+        area2 = _signed_area2(pts)
+        if len(pts) < 3 or area2 == 0:
             raise PolygonError("polygon must have positive area")
-        if _signed_area2(pts) < 0:
+        if area2 < 0:
             pts.reverse()
         n = len(pts)
         for i in range(n):
@@ -101,9 +104,15 @@ class HPolygon:
                     "not h-transverse: edge direction (%d, %d)" % (dx, dy)
                 )
         object.__setattr__(self, "_vertices", tuple(pts))
+        object.__setattr__(self, "_area2", abs(area2))
 
     def __setattr__(self, *args):
         raise AttributeError("HPolygon is immutable")
+
+    def _keep(self, slot: str, value):
+        """Fill a derived-value slot on first use; returns value."""
+        object.__setattr__(self, slot, value)
+        return value
 
     # -- constructors ---------------------------------------------------
 
@@ -175,12 +184,16 @@ class HPolygon:
 
     @property
     def area2(self) -> int:
-        return _signed_area2(self._vertices)
+        return self._area2
 
     def boundary_lattice_count(self) -> int:
-        return sum(
+        try:
+            return self._boundary
+        except AttributeError:
+            pass
+        return self._keep("_boundary", sum(
             _lattice_length((q[0] - p[0], q[1] - p[1])) for p, q in self.edges()
-        )
+        ))
 
     def interior_lattice_count(self) -> int:
         # Pick's theorem
@@ -237,10 +250,14 @@ class HPolygon:
         vertices are reversed back to counterclockwise order and rotated to
         start at the smallest one.
         """
+        try:
+            return self._key
+        except AttributeError:
+            pass
         xmax = max(x for x, _ in self._vertices)
         mirror = [(xmax - x, y) for x, y in reversed(self._vertices)]
         start = mirror.index(min(mirror))
-        return min(self._vertices, tuple(mirror[start:] + mirror[:start]))
+        return self._keep("_key", min(self._vertices, tuple(mirror[start:] + mirror[:start])))
 
     # -- corner cuts --------------------------------------------------------
 
@@ -259,6 +276,10 @@ class HPolygon:
         prev + next = -(D.D) * ray.  An edge with a non-unimodular endpoint
         has no integer self-intersection and reads None.
         """
+        try:
+            return self._degrees
+        except AttributeError:
+            pass
         rays = self.edge_rays()
         n = len(rays)
         out = []
@@ -270,7 +291,7 @@ class HPolygon:
             # both cones unimodular: prev + next is an integer multiple of cur
             coord = 0 if cur[0] else 1
             out.append(-(prv[coord] + nxt[coord]) // cur[coord])
-        return tuple(out)
+        return self._keep("_degrees", tuple(out))
 
     def negative_edges(self) -> tuple[int, ...]:
         """Indices of edges whose toric divisor has negative self-intersection."""

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from math import comb
 
+from .fixtures import surface_polygon
 from .laurent import LaurentPoly
-from .polygon import HPolygon
 
 
 class SurgeryError(ValueError):
@@ -131,12 +131,15 @@ def quadric_rhs_terms(a: int, b: int):
     return terms
 
 
-def check_conjecture_quadric(table, a: int, b: int, genus: int, pairs: int = 0) -> dict:
+def check_conjecture_quadric(table, a: int, b: int, genus: int, pairs: int = 0,
+                             build=surface_polygon) -> dict:
     """Compare the trapezoid invariant with its u-weighted quadric expansion.
 
     table is an InvariantTable; the rectangle terms are looked up before the
-    trapezoid.  Equality of both Laurent polynomials is the conjecture
-    instance, reported as `verify --identity conj-quadric` prints it.
+    trapezoid.  build(surface, a, b) makes each polygon, so a caller
+    checking many instances can pass one that reuses what it built.
+    Equality of both Laurent polynomials is the conjecture instance,
+    reported as `verify --identity conj-quadric` prints it.
     """
     if pairs and genus:
         raise SurgeryError("conjugate pairs only refine genus 0")
@@ -148,8 +151,8 @@ def check_conjecture_quadric(table, a: int, b: int, genus: int, pairs: int = 0) 
 
     rhs = LaurentPoly.zero()
     for term in quadric_rhs_terms(a, b):
-        rhs = rhs + term["coeff"] * value(HPolygon.rectangle(*term["bidegree"]))
-    lhs = value(HPolygon.sigma2_trapezoid(a, b))
+        rhs = rhs + term["coeff"] * value(build("QH", *term["bidegree"]))
+    lhs = value(build("Sigma2", a, b))
     return {
         "a": a,
         "b": b,

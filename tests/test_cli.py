@@ -14,6 +14,7 @@ from floordiagrams.invariants import (
     InvariantKey,
     InvariantTable,
 )
+from floordiagrams.fixtures import reference_rows
 from floordiagrams.polygon import HPolygon
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -431,6 +432,29 @@ def test_verify_identity_suite(capsys):
     assert "3 skipped" in out
 
 
+@pytest.mark.parametrize("argv", [("appendix",), ("verify", "--identity", "conj-quadric")])
+def test_a_request_builds_each_golden_polygon_once(capsys, monkeypatch, argv):
+    if argv[0] == "appendix":
+        rows = reference_rows()
+        shapes = {(row.surface, row.a, row.b) for row in rows}
+        assert (len(rows), len(shapes)) == (60, 18)
+    else:
+        shapes = set()
+        for a, b, _, _ in cli.CONJECTURE_INSTANCES:
+            shapes.add(("Sigma2", a, b))
+            shapes.update(("QH", *t["bidegree"]) for t in surgery.quadric_rhs_terms(a, b))
+    built = []
+    for name in ("rectangle", "sigma2_trapezoid"):
+
+        def counting(cls, a, b, make=getattr(HPolygon, name), name=name):
+            built.append((name, a, b))
+            return make(a, b)
+
+        monkeypatch.setattr(HPolygon, name, classmethod(counting))
+    run(capsys, *argv)
+    assert len(built) == len(set(built)) == len(shapes)
+
+
 def test_verify_all_builds_one_table(capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     counts = {"tables": 0, "computed": 0}
@@ -588,8 +612,6 @@ def test_cache_zero_area_lines_of_earlier_builds_are_stale(capsys, tmp_path):
 
 
 GEOMETRY_LINES = (
-    '{"engine": "0.1.0", "polygon": [[0, 0, 0], [2, 0, 0], [2, 2, 0]], "genus": 0, '
-    '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": false}\n',
     '{"engine": "0.1.0", "polygon": [[0, 0], [4, 0], [1, 1], [0, 4]], "genus": 0, '
     '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": false}\n',
 )
@@ -615,6 +637,8 @@ GEOMETRY_LINES = (
         # "1" and "01" name one exponent; the last key used to win
         '{"engine": "0.1.0", "polygon": [[0, 0], [2, 0], [2, 2], [0, 2]], "genus": 0, '
         '"pairs": 0, "coeffs": {"-1": 1, "0": 10, "1": 1, "01": 5}, "extrapolated": false}\n',
+        '{"engine": "0.1.0", "polygon": [[0, 0, 0], [2, 0, 0], [2, 2, 0]], "genus": 0, '
+        '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": false}\n',
         *GEOMETRY_LINES,
     ],
     ids=[
@@ -665,8 +689,12 @@ SQUARE = '"polygon": [[0, 0], [2, 0], [2, 2], [0, 2]]'
             '"polygon": [[0, 0], 5, [2, 2], [0, 2]], "coeffs": {"0": 1}',
             "polygon must be a list of [x, y] integer pairs",
         ),
+        (
+            '"polygon": [[0, 0, 7], [2, 0], [0, 2]], "coeffs": {"0": 1}',
+            "polygon must be a list of [x, y] integer pairs",
+        ),
     ],
-    ids=["list-coeffs", "int-polygon", "int-vertex"],
+    ids=["list-coeffs", "int-polygon", "int-vertex", "triple-vertex"],
 )
 def test_cache_wrong_shapes_name_the_field(capsys, tmp_path, fields, message):
     path = tmp_path / "cache.jsonl"
@@ -677,6 +705,34 @@ def test_cache_wrong_shapes_name_the_field(capsys, tmp_path, fields, message):
     expected = f"error: malformed cache line 2 of {path}: {message}\n"
     for argv in (("compute", "--polygon", "rect:1,2"), ("cache", "stats")):
         assert run(capsys, "--cache", str(path), *argv) == (2, "", expected)
+
+
+@pytest.mark.parametrize("kind", ["cache", "polygon-file", "fixtures"])
+def test_input_that_is_not_utf8_names_its_file(capsys, tmp_path, kind):
+    path = tmp_path / "input"
+    if kind == "cache":
+        # far more than one read buffer, so the line number must count them all
+        code, _, _ = run(capsys, "--cache", str(path), "compute", "--polygon", "rect:1,2")
+        assert code == 0
+        line = path.read_bytes()
+        path.write_bytes(line * 999 + b"\xff\xfe\n" + line)
+        expected = f"error: malformed cache line 1000 of {path}: not UTF-8\n"
+        requests = [("--cache", str(path), "compute", "--polygon", "rect:1,2"),
+                    ("--cache", str(path), "cache", "stats")]
+    else:
+        data = b'{"vertices": [[0, 0], [1, 0], [0, 1]], "note": "\xff\xfe"}'
+        path.write_bytes(data)
+        expected = f"error: not UTF-8: byte {data.index(0xff)} of {path}\n"
+        requests = [("compute", "--polygon-file", str(path))]
+        if kind == "fixtures":
+            requests = [("appendix", "--fixtures", str(path)),
+                        ("verify", "--suite", "all", "--fixtures", str(path))]
+    for argv in requests:
+        assert run(capsys, *argv) == (2, "", expected), argv
+    if kind == "cache":
+        code, out, _ = run(capsys, "--cache", str(path), "cache", "verify")
+        assert code == 1
+        assert json.loads(out)["error"] == expected[len("error: "):-1]
 
 
 def test_malformed_cache_exits_2_under_python_O(tmp_path):

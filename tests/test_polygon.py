@@ -268,3 +268,67 @@ def test_immutability():
     sq = HPolygon.rectangle(2, 2)
     with pytest.raises(AttributeError):
         sq.vertices = ()
+
+
+# values an HPolygon computes once and keeps; each reads its slots only
+DERIVED = (
+    ("canonical_key", ()),
+    ("boundary_lattice_count", ()),
+    ("self_intersections", ()),
+    ("interior_lattice_count", ()),
+    ("point_count", (2,)),
+    ("negative_edges", ()),
+    ("has_small_del_pezzo_fan", ()),
+    ("admissible_cut_corners", ()),
+)
+
+
+def derived_values(polygon):
+    return [getattr(polygon, name)(*args) for name, args in DERIVED] + [polygon.area2]
+
+
+@given(h_transverse_polygons())
+def test_kept_values_equal_a_fresh_computation(polygon):
+    # a fresh instance has filled no slot, so each of its values is computed
+    # on the call; the kept values must match it on first and later calls
+    for _ in range(2):
+        assert derived_values(polygon) == derived_values(HPolygon(polygon.vertices))
+    edges = list(zip(polygon.vertices, polygon.vertices[1:] + polygon.vertices[:1]))
+    assert polygon.area2 == sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges)
+    assert polygon.boundary_lattice_count() == sum(
+        gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges
+    )
+
+
+def test_each_value_is_computed_once_per_instance(monkeypatch):
+    fills, rays = [], []
+    keep, edge_rays = HPolygon._keep, HPolygon.edge_rays
+
+    def counting_keep(self, slot, value):
+        fills.append(slot)
+        return keep(self, slot, value)
+
+    def counting_rays(self):
+        rays.append(self)
+        return edge_rays(self)
+
+    monkeypatch.setattr(HPolygon, "_keep", counting_keep)
+    monkeypatch.setattr(HPolygon, "edge_rays", counting_rays)
+    trap = HPolygon.sigma2_trapezoid(2, 2)
+    assert fills == []  # the area is computed on construction, without a fill
+    for _ in range(3):
+        derived_values(trap)
+        trap.corner_cut((0, 0))
+    assert sorted(fills) == ["_boundary", "_degrees", "_key"]
+    assert rays == [trap]
+
+
+def test_filled_slots_change_no_equality_or_immutability():
+    full, bare = HPolygon.rectangle(2, 3), HPolygon.rectangle(2, 3)
+    derived_values(full)
+    assert full == bare and hash(full) == hash(bare) and repr(full) == repr(bare)
+    assert len({full, bare}) == 1
+    for attr in ("_key", "_boundary", "_degrees", "_area2", "vertices"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(full, attr, None)
+    assert derived_values(full) == derived_values(bare)

@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -15,3 +16,39 @@ def test_identity_checks_localizes_the_disputed_cells():
     assert done.returncode == 0, done.stderr
     assert "(3,0) g=0 s=5: trapezoid row" in done.stdout
     assert "the engine computes rect:2,4 s=5 as" in done.stdout
+
+
+def load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPTS / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_pairs_statistics():
+    ab = load_ab_pairs()
+    assert ab.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert ab.quartiles([7.0]) == (7.0, 7.0, 7.0)
+    parent = [10, 11, 12, 13, 14] * 2  # quartiles 11 and 13, median 12
+    assert ab.quartiles(parent) == (11, 12, 13)
+    # a tie counts for neither side
+    assert ab.pairs_won(parent, [10] * 10, "lower") == 8
+    assert ab.pairs_won(parent, [10] * 10, "higher") == 0
+    assert ab.gain_claimed(parent, [9] * 10, "lower")
+    assert ab.gain_claimed(parent, [9] * 9 + [15], "lower")  # 9 of 10 won
+    assert not ab.gain_claimed(parent, [9] * 8 + [15] * 2, "lower")  # 8 of 10 won
+    # every pair won, but the medians lie only 0.5 apart, inside the spread of 2
+    assert not ab.gain_claimed(parent, [p - 0.5 for p in parent], "lower")
+    assert ab.gain_claimed([-p for p in parent], [-9] * 10, "higher")
+    assert not ab.gain_claimed(parent, [9] * 10, "higher")
+
+
+def test_ab_pairs_report_names_each_metric_with_both_sides():
+    ab = load_ab_pairs()
+    metrics = [{"name": "wall_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]
+    parent = [{"wall_s": 0.2, "peak_rss_mb": 20.0}, {"wall_s": 0.3, "peak_rss_mb": 20.0}]
+    change = [{"wall_s": 0.1, "peak_rss_mb": 20.0}, {"wall_s": 0.1, "peak_rss_mb": 21.0}]
+    wall, rss = ab.report("pair-columns", metrics, parent, change)
+    assert wall.split() == ["pair-columns", "wall_s", "0.25", "[0.225,", "0.275]",
+                            "0.1", "[0.1,", "0.1]", "2/2", "gain"]
+    assert rss.split()[-1] == "0/2"
