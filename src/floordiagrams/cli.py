@@ -13,12 +13,13 @@ recursion cannot reach, or a request too large for the memory at hand).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 from functools import cache
 
-from .fixtures import read_json, reference_rows, surface_polygon
+from .fixtures import read_json, reference_rows, surface_spec
 from .floordiag import diagram_sum, diagram_terms, refined_invariant
 from .invariants import (
     CACHE_ENV_VAR,
@@ -153,10 +154,12 @@ def run_compute(args) -> int:
             results.append(entry)
         print(json.dumps({"engine": ENGINE_VERSION, "results": results}, indent=2, sort_keys=True))
     elif args.emit == "csv":
-        print("polygon,genus,s,exponent,coefficient")
+        # quoted only where needed: a label such as "rect:2,2" holds a comma
+        rows = csv.writer(sys.stdout, lineterminator="\n")
+        rows.writerow(("polygon", "genus", "s", "exponent", "coefficient"))
         for genus, pairs, rec, _ in cells:
             for exp, coeff in rec.value.to_coeff_dict().items():
-                print(f"{label},{genus},{pairs},{exp},{coeff}")
+                rows.writerow((label, genus, pairs, exp, coeff))
     else:
         for genus, pairs, rec, terms in cells:
             flag = "  [extrapolated]" if rec.extrapolated else ""
@@ -171,14 +174,15 @@ def run_compute(args) -> int:
     return 0
 
 
-def _replay(table, rows, emit: str) -> int:
-    """Replay golden rows against table, print the report, return its exit code."""
-    polygon = cache(surface_polygon)  # rows share their polygons
+def _replay(table, rows, emit: str, polygon) -> int:
+    """Replay golden rows against table, print the report, return its exit
+    code; polygon(spec) builds the rows' polygons."""
     report = []
     for row in rows:
         entry = {"row": row.label(), "expected": row.value.to_json_dict()}
         try:
-            rec = table.record(polygon(row.surface, row.a, row.b), row.genus, row.pairs)
+            spec = surface_spec(row.surface, row.a, row.b)
+            rec = table.record(polygon(spec), row.genus, row.pairs)
         except InvariantError as err:
             entry["status"] = "stuck"
             entry["error"] = str(err)
@@ -226,15 +230,17 @@ def run_appendix(args) -> int:
     rows = reference_rows(args.fixtures)
     if args.genus_only:
         rows = tuple(r for r in rows if r.pairs == 0)
-    return _replay(InvariantTable(cache_path=args.cache), rows, args.emit)
+    table = InvariantTable(cache_path=args.cache)
+    return _replay(table, rows, args.emit, cache(HPolygon.from_spec))
 
 
-def _check_symmetry() -> dict:
+def _check_symmetry(table, polygon=HPolygon.from_spec) -> dict:
+    # table unused: each embedding is evaluated directly
     failures = []
     checked = 0
     for a, b in SYMMETRY_SHAPES:
-        rect = HPolygon.rectangle(a, b)
-        swapped = HPolygon.rectangle(b, a)
+        rect = polygon(f"rect:{a},{b}")
+        swapped = polygon(f"rect:{b},{a}")
         for genus in range(rect.interior_lattice_count() + 1):
             checked += 1
             # direct evaluation on each embedding, no canonicalization
@@ -243,14 +249,13 @@ def _check_symmetry() -> dict:
     return surgery.identity_report("symmetry", checked, failures)
 
 
-def _check_monotone(table) -> dict:
+def _check_monotone(table, polygon=HPolygon.from_spec) -> dict:
     failures = []
     checked = 0
     for spec, top in MONOTONE_COLUMNS:
-        polygon = HPolygon.from_spec(spec)
-        prev = None
+        shape, prev = polygon(spec), None
         for s in range(top + 1):
-            value = table.refined_descendant(polygon, s)
+            value = table.refined_descendant(shape, s)
             coeffs = value.to_coeff_dict()
             checked += 1
             if any(c < 0 for c in coeffs.values()):
@@ -265,14 +270,14 @@ def _check_monotone(table) -> dict:
     return surgery.identity_report("monotone-s", checked, failures)
 
 
-def _check_independence(table) -> dict:
+def _check_independence(table, polygon=HPolygon.from_spec) -> dict:
     failures = []
     checked = 0
     for spec, pairs in INDEPENDENCE_CASES:
-        polygon = HPolygon.from_spec(spec)
-        for s in range(1, min(pairs, max_pairs(polygon)) + 1):
+        shape = polygon(spec)
+        for s in range(1, min(pairs, max_pairs(shape)) + 1):
             checked += 1
-            values = table.descendant_value_set(polygon, s)
+            values = table.descendant_value_set(shape, s)
             if len(values) != 1:
                 failures.append(
                     {"polygon": spec, "s": s, "values": [v.to_json_dict() for v in values]}
@@ -280,10 +285,12 @@ def _check_independence(table) -> dict:
     return surgery.identity_report("cut-independence", checked, failures)
 
 
-def _check_conjecture(table) -> dict:
-    polygon = cache(surface_polygon)  # instances share their polygons
+def _check_conjecture(table, polygon=HPolygon.from_spec) -> dict:
+    def build(surface, a, b):
+        return polygon(surface_spec(surface, a, b))
+
     instances = [
-        surgery.check_conjecture_quadric(table, *instance, build=polygon)
+        surgery.check_conjecture_quadric(table, *instance, build=build)
         for instance in CONJECTURE_INSTANCES
     ]
     skipped = [
@@ -296,12 +303,13 @@ def _check_conjecture(table) -> dict:
     )
 
 
-# name -> check(table)
+# name -> check(table, polygon): polygon(spec) builds the polygons, by
+# default each anew; verify passes one builder for the whole request
 IDENTITY_CHECKS = {
-    "u-inversion": lambda table: surgery.check_u_inversion(),
-    "main-proof": lambda table: surgery.check_mainproof_coeffs(),
+    "u-inversion": lambda table, polygon=None: surgery.check_u_inversion(),
+    "main-proof": lambda table, polygon=None: surgery.check_mainproof_coeffs(),
     "conj-quadric": _check_conjecture,
-    "symmetry": lambda table: _check_symmetry(),
+    "symmetry": _check_symmetry,
     "monotone-s": _check_monotone,
     "cut-independence": _check_independence,
 }
@@ -312,10 +320,11 @@ def run_verify(args) -> int:
     if args.fixtures and args.suite != "all":
         raise ValueError("--fixtures only applies to --suite all")
     table = InvariantTable(cache_path=args.cache)
-    reports = [IDENTITY_CHECKS[name](table) for name in args.identity or IDENTITIES]
+    polygon = cache(HPolygon.from_spec)  # the request builds each named polygon once
+    reports = [IDENTITY_CHECKS[name](table, polygon) for name in args.identity or IDENTITIES]
     appendix_exit = 0
     if args.suite == "all":
-        appendix_exit = _replay(table, reference_rows(args.fixtures), args.emit)
+        appendix_exit = _replay(table, reference_rows(args.fixtures), args.emit, polygon)
     payload = {
         "engine": ENGINE_VERSION,
         "reports": reports,

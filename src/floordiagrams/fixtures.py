@@ -26,8 +26,7 @@ class ReferenceRow:
         return surface_polygon(self.surface, self.a, self.b)
 
     def label(self) -> str:
-        shape = "rect" if self.surface == "QH" else "sigma2"
-        return f"{shape}:{self.a},{self.b} g={self.genus} s={self.pairs}"
+        return f"{surface_spec(self.surface, self.a, self.b)} g={self.genus} s={self.pairs}"
 
 
 def surface_polygon(surface: str, a: int, b: int) -> HPolygon:
@@ -35,6 +34,11 @@ def surface_polygon(surface: str, a: int, b: int) -> HPolygon:
     if surface == "QH":
         return HPolygon.rectangle(a, b)
     return HPolygon.sigma2_trapezoid(a, b)
+
+
+def surface_spec(surface: str, a: int, b: int) -> str:
+    """The named spec of the class (a, b): "rect:a,b" on QH, "sigma2:a,b" on Sigma2."""
+    return f"{'rect' if surface == 'QH' else 'sigma2'}:{a},{b}"
 
 
 def read_json(path: str):

@@ -5,21 +5,15 @@ elevators between floors (always upward, possibly skipping floors), and
 unit-weight ends entering from below or leaving above.  Genus-g diagrams have
 exactly g + height - 1 bounded elevators and must be connected.
 
-Every floor also carries one left and one right unbounded end whose vertical
-slopes are dictated by the boundary of the polygon.  The slope multisets get
-distributed over the floors in every possible order, and each assignment
-fixes the divergence (net downward elevator flow) of each floor.  When the
-boundary slopes are constant the assignment is unique and the divergences are
-just the width differences of consecutive rows, but polygons with mixed
-boundary slopes admit several assignments and each contributes diagrams.
+Every floor also carries one left and one right unbounded end, whose
+vertical slopes the polygon's boundary dictates.  Each order of the slope
+multisets over the floors fixes every floor's divergence (net downward
+elevator flow).  Constant boundary slopes give one order, whose divergences
+are the width differences of consecutive rows; mixed slopes give several.
 
-refined_invariants sums multiplicity times markings over all diagrams with a
-transfer walk up the gaps and floors that labels ends and elevators, drops
-partial markings which cannot finish, and never builds a diagram; on a
-polygon whose top row is one point one walk gives a whole genus column, and
-a polygon whose rows narrow by two or more per floor is walked upside down.
-enumerate_diagrams, marking_count and diagram_sum give the same sum diagram
-by diagram, for --list-diagrams and the tests.
+refined_invariants sums multiplicity times markings by a transfer walk that
+never builds a diagram; enumerate_diagrams, marking_count and diagram_sum give
+the same sum diagram by diagram, for --list-diagrams and the tests.
 """
 
 from __future__ import annotations
@@ -33,12 +27,9 @@ from math import comb, factorial
 from .laurent import LaurentPoly, mul_add, quantum_square
 from .polygon import HPolygon
 
-# tallest polygon accepted.  The transfer walk behind refined_invariant takes
-# 0.002 s on rect:1,64 and 0.016 s on rect:2,14 (2-core VM, CPython 3.11),
-# but enumerate_diagrams (listing) builds every diagram, about 2.3 times more
-# per row of rect:2,h (rect:2,14 takes 21 s), and past about 300 rows the
-# marking walk, which recurses once per placed element, overflows the stack.
-# A taller polygon is refused before anything is computed.
+# tallest polygon accepted: not for the transfer walk (README times it), but
+# enumerate_diagrams builds every diagram, 2.3 times more per row of rect:2,h,
+# and past about 300 rows its marking walk overflows the stack.
 MAX_HEIGHT = 64
 
 
@@ -70,12 +61,7 @@ class FloorDiagram:
         return len(self.elevators) - self.floors + 1
 
     def element_count(self) -> int:
-        return (
-            self.floors
-            + len(self.elevators)
-            + sum(self.bottom_ends)
-            + sum(self.top_ends)
-        )
+        return self.floors + len(self.elevators) + sum(self.bottom_ends) + sum(self.top_ends)
 
     def is_connected(self) -> bool:
         parent = list(range(self.floors + 1))
@@ -99,11 +85,7 @@ class FloorDiagram:
 
     def automorphism_size(self) -> int:
         size = 1
-        for mult in Counter(self.elevators).values():
-            size *= factorial(mult)
-        for count in self.bottom_ends:
-            size *= factorial(count)
-        for count in self.top_ends:
+        for count in (*Counter(self.elevators).values(), *self.bottom_ends, *self.top_ends):
             size *= factorial(count)
         return size
 
@@ -144,10 +126,8 @@ class FloorDiagram:
         count = walk(0, tuple(opens[0]))
         q, r = divmod(count, self.automorphism_size())
         if r:
-            raise DiagramError(
-                f"{count} linear extensions are not a multiple of the "
-                f"{self.automorphism_size()} automorphisms"
-            )
+            raise DiagramError(f"{count} linear extensions are not a multiple "
+                               f"of the {self.automorphism_size()} automorphisms")
         return q
 
 
@@ -175,12 +155,8 @@ def _choices(xs: tuple) -> tuple:
 
 
 def divergence_sequences(polygon) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Floor divergence sequences with their slope-assignment counts.
-
-    Pairs one left and one right boundary slope per floor, in every distinct
-    order, and records the resulting per-floor divergence sequence together
-    with how many assignments produce it.
-    """
+    """Floor divergence sequences with their slope-assignment counts: one
+    left and one right boundary slope per floor, in every distinct order."""
     combos: Counter = Counter()
 
     def assign(lefts, rights, seq):
@@ -289,13 +265,31 @@ def _tally(items, merged=(), label=0) -> tuple:
     return tuple(sorted(out.items()))
 
 
-def _gap_step(states: dict, last: bool) -> dict:
+def _slope_moves(polygon) -> list:
+    """The walk's slope-move table: entry i holds, for the i-th multiset of
+    slopes still to assign (0 the polygon's), its least left plus least right
+    slope and (a + b, next id) for each distinct left a and right b."""
+    order, table = [polygon.end_slopes()], []
+    ids = {order[0]: 0}
+    for lefts, rights in order:  # grows as new multisets turn up
+        moves = []
+        for (a, lrest), (b, rrest) in product(_choices(lefts), _choices(rights)):
+            rest = (lrest, rrest)
+            if rest not in ids:
+                ids[rest] = len(order)
+                order.append(rest)
+            moves.append((a + b, ids[rest]))
+        table.append((min(lefts) + min(rights) if lefts else 0, tuple(moves)))
+    return table
+
+
+def _gap_step(states: dict, last: bool, slopes: list) -> dict:
     """Places a of the c elements of each class in the gap, all of them in
     the gap below the top floor, in (sum a)! prod C(c, a) ways, and drops a
     placement that leaves the next floor less weight than its least slopes."""
     out = {}
-    for (unplaced, placed, labelled, tops, lefts, rights), poly in states.items():
-        least = min(lefts) + min(rights) - sum(w * c for (w, _), c in placed)
+    for (unplaced, placed, labelled, tops, sid), poly in states.items():
+        least = slopes[sid][0] - sum(w * c for (w, _), c in placed)
         for picks in product(*((c,) if last else range(c + 1) for _, c in unplaced)):
             ways, weight, left, now = factorial(sum(picks)), 0, [], dict(placed)
             for (kind, c), a in zip(unplaced, picks):
@@ -306,29 +300,32 @@ def _gap_step(states: dict, last: bool) -> dict:
                 if a < c:
                     left.append((kind, c - a))
             if weight >= least:
-                key = (tuple(left), tuple(sorted(now.items())), labelled, tops, lefts, rights)
+                key = (tuple(left), tuple(sorted(now.items())), labelled, tops, sid)
                 mul_add(poly, _ONE, ways, out.setdefault(key, {}))
     return out
 
 
-def _floor_step(states: dict, f: int, h: int, hi: int, need: int) -> dict:
+def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list) -> dict:
     """Floor f takes a sub-multiset of the placed elements as its incoming
-    ends and elevators, one left and one right slope, t top ends and
+    ends and elevators, one of the slope moves of its state, t top ends and
     elevators whose weights carry the flow that is left; the top floor takes
     everything that is waiting and emits nothing.  A choice survives when
     some count of labelled elements up to hi can finish it, and an emission
-    when it reaches need, the least that the lowest count asks of the
-    floors so far."""
+    when it reaches need, the least that the lowest count asks of the floors
+    so far.  Each (unplaced, weight counts, label) is tallied once a step."""
     last = f == h
-    out = {}
-    for (unplaced, placed, labelled, tops, lefts, rights), poly in states.items():
+    out, relabelled = {}, {}
+    for (unplaced, placed, labelled, tops, sid), poly in states.items():
         # non-top elements above floor f: floors, elevators to come, unplaced
         # ones (a walk with top ends has lo = hi)
         above = h - f + hi - labelled + sum(c for _, c in unplaced)
         # elevators not yet absorbed, by component (bottom ends have none); with
         # those to come, each joins at most two of the components and floors left
-        held = [(comp, c) for (_, comp), c in unplaced + placed if comp]
-        spare = hi - labelled + sum(c for _, c in held) - len(dict(held)) - h + f
+        held = {}
+        for (_, comp), c in unplaced + placed:
+            if comp:
+                held[comp] = held.get(comp, 0) + c
+        spare = hi - labelled + sum(held.values()) - len(held) - h + f
         for picks in product(*((c,) if last else range(c + 1) for _, c in placed)):
             ways, inflow, merged, taken, waiting = 1, 0, set(), 0, []
             for ((w, comp), c), b in zip(placed, picks):
@@ -342,49 +339,54 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int) -> dict:
                     waiting.append(((w, comp), c - b))
             if not last and spare - taken + len(merged) < 0:
                 continue
-            pending = sum(c for comp, c in held if comp in merged) > taken
+            pending = sum(held[comp] for comp in merged) > taken
             # the floor and the components it absorbs become one, named by its lowest floor
             label = min(merged, default=f)
             left, waiting = unplaced, tuple(waiting)
             if len(merged) > 1:
                 left, waiting = _tally(left, merged, label), _tally(waiting, merged, label)
-            for (a, lrest), (b, rrest) in product(_choices(lefts), _choices(rights)):
-                for t in (tops,) if last else range(tops + 1):
-                    # the top floor emits nothing, and a floor below it must
-                    # leave its component something crossing above it
-                    flow = inflow - t - a - b
-                    if flow < 0 or last and flow or not (last or flow or pending):
-                        continue
+            for slope, nid in slopes[sid][1]:
+                room = inflow - slope  # the flow plus the top ends
+                if last:  # the top floor takes every top end left and emits nothing
+                    top_ends = (tops,) if room == tops else ()
+                else:  # a floor below it leaves its component something crossing above
+                    top_ends = range(min(tops, room - (not pending)) + 1)
+                for t in top_ends:
+                    flow = room - t
                     # the t top ends go among the non-top elements and the
                     # later floors' top ends above floor f
                     top_ways = ways * comb(above + tops, t)
                     for counts, n, mult in _emissions(flow, min(flow, hi - labelled), labelled):
                         if labelled + n >= need:
-                            emitted = tuple(((w, label), c) for w, c in counts)
-                            now = _tally(left + emitted) if n else left
-                            key = (now, waiting, labelled + n, tops - t, lrest, rrest)
-                            mul_add(poly, mult, top_ways, out.setdefault(key, {}))
+                            now = relabelled.get((left, counts, label)) if n else left
+                            if now is None:
+                                emitted = tuple(((w, label), c) for w, c in counts)
+                                now = relabelled[left, counts, label] = _tally(left + emitted)
+                            into = out.setdefault((now, waiting, labelled + n, tops - t, nid), {})
+                            for x, d in mult:
+                                d *= top_ways
+                                for e, c in poly.items():
+                                    into[e + x] = into.get(e + x, 0) + c * d
     return out
 
 
 def _walk(polygon, widths: tuple, lo: int, hi: int) -> dict:
-    """{labelled: value} for the diagrams with lo..hi bottom ends and
-    elevators in all, by the transfer walk of refined_invariants; widths is
-    the polygon's floor profile."""
+    """{labelled: value} for the diagrams with lo..hi bottom ends and elevators
+    in all, by the walk of refined_invariants; widths is the floor profile."""
     h = len(widths) - 1
+    slopes = _slope_moves(polygon)
     unplaced = (((1, 0), widths[0]),) if widths[0] else ()
-    states = {(unplaced, (), widths[0], widths[-1], *polygon.end_slopes()): {0: 1}}
+    states = {(unplaced, (), widths[0], widths[-1], 0): {0: 1}}
     for f in range(1, h + 1):
         # an elevator from floor k crosses above it, where no assignment of
         # the slopes is wider than the polygon's row k, so the floors
         # f+1..h-1 emit at most sum(widths[f + 1 : h]) elevators
         need = lo - sum(widths[f + 1 : h])
-        states = _floor_step(_gap_step(states, f == h), f, h, hi, need)
-    out = {}
-    for (_, _, labelled, *_), poly in states.items():
-        scale = factorial(labelled)
-        out[labelled] = LaurentPoly({e: c // scale for e, c in poly.items()})
-    return out
+        states = _floor_step(_gap_step(states, f == h, slopes), f, h, hi, need, slopes)
+    return {
+        labelled: LaurentPoly({e: c // factorial(labelled) for e, c in poly.items()})
+        for (_, _, labelled, *_), poly in states.items()
+    }
 
 
 def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
@@ -397,24 +399,22 @@ def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
     gap 1, ..., floor h and keeps, for each partial marking, the unplaced
     elements and the placed ones still waiting for their upper floor, both
     counted by (weight, component) with bottom ends as (1, 0); how many
-    bottom ends and elevators are labelled; the top ends left; and the slopes
-    still to assign, so every divergence sequence shares the walk.  A state's
-    partial sum, {exponent: coefficient}, is (bottom width + elevators)!
-    times too large until the one division at the end.  Top ends never enter
-    a state: the floor that emits them counts their places above it.
+    bottom ends and elevators are labelled; the top ends left; and, as an id
+    into the walk's slope-move table, the slopes still to assign, so every
+    divergence sequence shares the walk.  A state's partial sum is (bottom
+    width + elevators)! times too large until the one division at the end.
+    Top ends never enter a state: the floor that emits them counts their
+    places above it.  A floor step tallies each distinct emission once.
 
-    The genus enters the walk only through its prunes, as the number of
-    labelled elements, bottom width + genus + h - 1.  On a polygon whose top
-    row is one point, one walk therefore serves every genus from the least to
-    the greatest asked for, and each final state's labelled count gives its
-    genus.  Elsewhere the places of the top ends depend on how many elevators
-    are still to come, so each genus takes a walk of its own.
+    The genus enters only through the prunes, as the number of labelled
+    elements, bottom width + genus + h - 1, so on a polygon whose top row is
+    one point one walk serves every genus asked for, each final state's
+    labelled count giving its genus.  Elsewhere the places of the top ends
+    depend on the elevators to come, and each genus takes a walk of its own.
 
-    Unless one walk serves several genera so, a polygon whose rows narrow by
-    two or more per floor on average is walked upside down, reflected by
-    (x, y) -> (x, h - y), which keeps every value and turns its many bottom
-    ends, which the state labels, into top ends, which it does not: sigma2:3,3
-    takes half the time, while P^2 (one per floor) would get slower, p2:7 3x.
+    Otherwise a polygon whose rows narrow by two or more per floor on average
+    is walked upside down, (x, y) -> (x, h - y): its many bottom ends, which
+    the state labels, become top ends, which it does not (README: timings).
     """
     genera = sorted(set(genera))
     if genera and genera[0] < 0:

@@ -146,9 +146,13 @@ class HPolygon:
     def from_spec(cls, spec: str) -> "HPolygon":
         """Parse "rect:a,b", "sigma2:a,b" or "p2:d"."""
         kind, _, rest = spec.partition(":")
+        parts = rest.split(",") if rest else []
+        # ASCII digits only: int() would also take "1_0", " 2", "+2" and "٢"
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise PolygonError(f"bad polygon spec {spec!r}")
         try:
-            args = [int(part) for part in rest.split(",")] if rest else []
-        except ValueError:
+            args = [int(part) for part in parts]
+        except ValueError:  # past int()'s limit on digits
             raise PolygonError(f"bad polygon spec {spec!r}") from None
         if kind == "rect" and len(args) == 2:
             return cls.rectangle(*args)

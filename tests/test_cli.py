@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -175,11 +177,21 @@ def test_compute_csv(capsys):
         capsys, "compute", "--polygon", "rect:2,2", "--genus", "0..1", "--emit", "csv"
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "polygon,genus,s,exponent,coefficient"
-    assert "rect:2,2,0,0,-1,1" in lines
-    assert "rect:2,2,0,0,0,10" in lines
-    assert "rect:2,2,1,0,0,1" in lines
+    # the label holds a comma, so it is quoted and every row has five fields
+    assert out == (
+        "polygon,genus,s,exponent,coefficient\n"
+        '"rect:2,2",0,0,-1,1\n'
+        '"rect:2,2",0,0,0,10\n'
+        '"rect:2,2",0,0,1,1\n'
+        '"rect:2,2",1,0,0,1\n'
+    )
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[-1] == {
+        "polygon": "rect:2,2", "genus": "1", "s": "0", "exponent": "0", "coefficient": "1",
+    }
+    # a label without a comma is written as it was
+    code, out, _ = run(capsys, "compute", "--polygon", "p2:3", "--genus", "1", "--emit", "csv")
+    assert (code, out) == (0, "polygon,genus,s,exponent,coefficient\np2:3,1,0,0,1\n")
 
 
 def test_compute_list_diagrams(capsys):
@@ -222,6 +234,15 @@ def test_compute_list_diagrams_evaluates_each_cell_once(capsys, tmp_path, monkey
     assert calls == {"enumerate": 1, "markings": 3}
     # a listed cell is its diagram sum and is not written to the cache
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "spec", ["rect:1_0,2", "rect: 2,2", "rect:2,+2", "rect:\u0662,2", "rect:2,2 ", "p2:-3"]
+)
+def test_compute_polygon_spec_takes_only_ascii_digits(capsys, spec):
+    # int() would read each of these as a number
+    code, out, err = run(capsys, "compute", "--polygon", spec)
+    assert (code, out, err) == (2, "", f"error: bad polygon spec {spec!r}\n")
 
 
 def test_compute_polygon_file(capsys, tmp_path):
@@ -453,6 +474,22 @@ def test_a_request_builds_each_golden_polygon_once(capsys, monkeypatch, argv):
         monkeypatch.setattr(HPolygon, name, classmethod(counting))
     run(capsys, *argv)
     assert len(built) == len(set(built)) == len(shapes)
+
+
+def test_verify_all_builds_each_named_polygon_once(capsys, monkeypatch):
+    built = []
+    for name in ("rectangle", "sigma2_trapezoid", "p2_triangle"):
+
+        def counting(cls, *args, make=getattr(HPolygon, name), name=name):
+            built.append((name, *args))
+            return make(*args)
+
+        monkeypatch.setattr(HPolygon, name, classmethod(counting))
+    run(capsys, "verify", "--suite", "all")
+    assert len(built) == len(set(built))
+    # symmetry still evaluates both embeddings of each shape
+    assert {("rectangle", a, b) for a, b in cli.SYMMETRY_SHAPES} <= set(built)
+    assert {("rectangle", b, a) for a, b in cli.SYMMETRY_SHAPES} <= set(built)
 
 
 def test_verify_all_builds_one_table(capsys, monkeypatch):

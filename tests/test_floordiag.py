@@ -1,5 +1,7 @@
+import ast
 from collections import Counter, defaultdict
 from itertools import combinations_with_replacement, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -382,3 +384,26 @@ def test_joint_walk_matches_per_genus_walks_on_random_apex_polygons(poly):
     assert poly.floor_profile()[-1] == 0
     genera = range(poly.interior_lattice_count() + 2)
     assert refined_invariants(poly, genera) == per_genus(poly, genera)
+
+
+def benchmark_octagon() -> HPolygon:
+    """The benchmark's mixed-slope octagon, read from its workload list."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    (vertices,) = (
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "OCTAGON_VERTICES"
+    )
+    return HPolygon(vertices)
+
+
+def test_transfer_walk_matches_enumeration_on_the_benchmark_octagon():
+    # the one benchmark input whose slope-move table branches: 19 divergence
+    # sequences share each walk
+    octagon = benchmark_octagon()
+    assert len(divergence_sequences(octagon)) == 19
+    walks = per_genus(octagon, range(8))
+    for genus, value in walks.items():
+        assert value == diagram_sum(diagram_terms(octagon, genus)), genus
+    assert walks[6] == LaurentPoly.one() and not walks[7]
+    assert refined_invariants(octagon, range(4)) == {g: walks[g] for g in range(4)}

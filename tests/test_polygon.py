@@ -30,8 +30,15 @@ def test_from_spec():
     assert HPolygon.from_spec("rect:2,4") == HPolygon.rectangle(2, 4)
     assert HPolygon.from_spec("sigma2:2,2") == HPolygon.sigma2_trapezoid(2, 2)
     assert HPolygon.from_spec("p2:5") == HPolygon.p2_triangle(5)
-    for bad in ("rect:2", "p2:2,3", "hex:1,1", "rect:a,b", ""):
-        with pytest.raises(PolygonError):
+    assert HPolygon.from_spec("rect:02,3") == HPolygon.rectangle(2, 3)
+    # numbers are ASCII digits only: int() would also take the underscore,
+    # spaces, signs and non-ASCII digits below
+    for bad in (
+        "rect:2", "p2:2,3", "hex:1,1", "rect:a,b", "", "rect:1_0,2", "rect: 2,2",
+        "rect:2 ,2", "rect:2,+2", "p2:-3", "rect:\u0662,2", "p2:\u00b3", "rect:2,2\n",
+        "rect:,2", "rect:2,", "p2:" + "9" * 5000,
+    ):
+        with pytest.raises(PolygonError, match="^bad polygon spec "):
             HPolygon.from_spec(bad)
 
 

@@ -26,3 +26,27 @@ def test_package_exports_resolve():
     assert floordiagrams.__all__
     missing = [name for name in floordiagrams.__all__ if not hasattr(floordiagrams, name)]
     assert missing == []
+
+
+def _is_memo(node) -> bool:
+    """A cache or lru_cache decorator, bare, dotted or called."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_process_wide_memos_are_pinned():
+    # a module-level memo outlives the request that filled it, so state would
+    # carry from one in-process request to the next; adding one is a choice
+    # this list has to record
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_is_memo(d) for d in node.decorator_list):
+                    found.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                if _is_memo(node.value.func):
+                    found.update(f"{path.stem}.{ast.unparse(t)}" for t in node.targets)
+    assert found == {"cli.build_parser", "floordiag._choices", "floordiag._emissions"}
