@@ -283,14 +283,14 @@ def _slope_moves(polygon) -> list:
     return table
 
 
-def _gap_step(states: dict, last: bool, slopes: list) -> dict:
-    """Places a of the c elements of each class in the gap, all of them in
-    the gap below the top floor, in (sum a)! prod C(c, a) ways, and drops a
-    placement that leaves the next floor less weight than its least slopes."""
+def _gap_step(states: dict, slopes: list) -> dict:
+    """Places a of the c elements of each class in the gap, in (sum a)!
+    prod C(c, a) ways, and drops a placement that leaves the next floor less
+    weight than its least slopes."""
     out = {}
     for (unplaced, placed, labelled, tops, sid), poly in states.items():
         least = slopes[sid][0] - sum(w * c for (w, _), c in placed)
-        for picks in product(*((c,) if last else range(c + 1) for _, c in unplaced)):
+        for picks in product(*(range(c + 1) for _, c in unplaced)):
             ways, weight, left, now = factorial(sum(picks)), 0, [], dict(placed)
             for (kind, c), a in zip(unplaced, picks):
                 if a:
@@ -305,20 +305,28 @@ def _gap_step(states: dict, last: bool, slopes: list) -> dict:
     return out
 
 
-def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list) -> dict:
-    """Floor f takes a sub-multiset of the placed elements as its incoming
+def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list,
+                close: bool = False) -> dict:
+    """Floor f < h takes a sub-multiset of the placed elements as its incoming
     ends and elevators, one of the slope moves of its state, t top ends and
-    elevators whose weights carry the flow that is left; the top floor takes
-    everything that is waiting and emits nothing.  A choice survives when
-    some count of labelled elements up to hi can finish it, and an emission
-    when it reaches need, the least that the lowest count asks of the floors
-    so far.  Each (unplaced, weight counts, label) is tallied once a step."""
-    last = f == h
-    out, relabelled = {}, {}
+    elevators whose weights carry the flow that is left.  A choice survives
+    when some count of labelled elements up to hi can finish it, and an
+    emission when it reaches need, the least that the lowest count asks of
+    the floors so far.  Each (unplaced, weight counts, label) is tallied once
+    a step.
+
+    With close, f is h - 1 and the step also takes the last gap, which
+    places the u elements left in u! ways, and the top floor, which takes
+    them all in one: it returns {labelled: sum}, no states.  The top floor's
+    top-end factor C(hi - labelled + T, T) is 1, as lo = hi or T = 0, and by
+    flow conservation the weight left in flight is its slope plus its T top
+    ends, so the last gap's and the top floor's checks pass every state."""
+    out, relabelled, sums = {}, {}, {}
     for (unplaced, placed, labelled, tops, sid), poly in states.items():
         # non-top elements above floor f: floors, elevators to come, unplaced
         # ones (a walk with top ends has lo = hi)
-        above = h - f + hi - labelled + sum(c for _, c in unplaced)
+        u = sum(c for _, c in unplaced)
+        above = h - f + hi - labelled + u
         # elevators not yet absorbed, by component (bottom ends have none); with
         # those to come, each joins at most two of the components and floors left
         held = {}
@@ -326,7 +334,7 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list) 
             if comp:
                 held[comp] = held.get(comp, 0) + c
         spare = hi - labelled + sum(held.values()) - len(held) - h + f
-        for picks in product(*((c,) if last else range(c + 1) for _, c in placed)):
+        for picks in product(*(range(c + 1) for _, c in placed)):
             ways, inflow, merged, taken, waiting = 1, 0, set(), 0, []
             for ((w, comp), c), b in zip(placed, picks):
                 if b:
@@ -337,26 +345,35 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list) 
                         taken += b
                 if b < c:
                     waiting.append(((w, comp), c - b))
-            if not last and spare - taken + len(merged) < 0:
+            if spare - taken + len(merged) < 0:
                 continue
             pending = sum(held[comp] for comp in merged) > taken
             # the floor and the components it absorbs become one, named by its lowest floor
             label = min(merged, default=f)
             left, waiting = unplaced, tuple(waiting)
-            if len(merged) > 1:
+            if len(merged) > 1 and not close:
                 left, waiting = _tally(left, merged, label), _tally(waiting, merged, label)
             for slope, nid in slopes[sid][1]:
                 room = inflow - slope  # the flow plus the top ends
-                if last:  # the top floor takes every top end left and emits nothing
-                    top_ends = (tops,) if room == tops else ()
-                else:  # a floor below it leaves its component something crossing above
-                    top_ends = range(min(tops, room - (not pending)) + 1)
-                for t in top_ends:
+                # a floor leaves its component something crossing above
+                for t in range(min(tops, room - (not pending)) + 1):
                     flow = room - t
                     # the t top ends go among the non-top elements and the
                     # later floors' top ends above floor f
                     top_ways = ways * comb(above + tops, t)
-                    for counts, n, mult in _emissions(flow, min(flow, hi - labelled), labelled):
+                    most = min(flow, hi - labelled)
+                    if close:  # the emissions' factors summed by count, once a step
+                        by_n = sums.get((flow, labelled))
+                        if by_n is None:
+                            by_n = sums[flow, labelled] = {}
+                            for _, n, mult in _emissions(flow, most, labelled):
+                                if labelled + n >= need:
+                                    mul_add({0: 1}, mult, 1, by_n.setdefault(n, {}))
+                        for n, mult in by_n.items():
+                            into = out.setdefault(labelled + n, {})
+                            mul_add(poly, mult.items(), top_ways * factorial(u + n), into)
+                        continue
+                    for counts, n, mult in _emissions(flow, most, labelled):
                         if labelled + n >= need:
                             now = relabelled.get((left, counts, label)) if n else left
                             if now is None:
@@ -377,16 +394,21 @@ def _walk(polygon, widths: tuple, lo: int, hi: int) -> dict:
     slopes = _slope_moves(polygon)
     unplaced = (((1, 0), widths[0]),) if widths[0] else ()
     states = {(unplaced, (), widths[0], widths[-1], 0): {0: 1}}
-    for f in range(1, h + 1):
+    for f in range(1, h):
         # an elevator from floor k crosses above it, where no assignment of
         # the slopes is wider than the polygon's row k, so the floors
         # f+1..h-1 emit at most sum(widths[f + 1 : h]) elevators
         need = lo - sum(widths[f + 1 : h])
-        states = _floor_step(_gap_step(states, f == h, slopes), f, h, hi, need, slopes)
-    return {
-        labelled: LaurentPoly({e: c // factorial(labelled) for e, c in poly.items()})
-        for (_, _, labelled, *_), poly in states.items()
-    }
+        states = _floor_step(_gap_step(states, slopes), f, h, hi, need, slopes, f == h - 1)
+    if h == 1:  # the one floor takes the bottom ends in any order
+        states = {widths[0]: {0: factorial(widths[0])}} if lo <= widths[0] else {}
+    for labelled, poly in states.items():  # {labelled: sum} after the closing step
+        scale = factorial(labelled)
+        for e, c in poly.items():
+            poly[e], wrong = divmod(c, scale)
+            if wrong:
+                raise DiagramError(f"walk sum {c} is not a multiple of {labelled}! = {scale}")
+    return {labelled: LaurentPoly(poly) for labelled, poly in states.items()}
 
 
 def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
@@ -405,11 +427,14 @@ def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
     width + elevators)! times too large until the one division at the end.
     Top ends never enter a state: the floor that emits them counts their
     places above it.  A floor step tallies each distinct emission once.
+    Floor h - 1 closes the walk: it builds no states, but adds each choice,
+    its emissions summed by elevator count, into the sum of its labelled
+    count, as the last gap and the top floor add only a factorial.
 
     The genus enters only through the prunes, as the number of labelled
     elements, bottom width + genus + h - 1, so on a polygon whose top row is
-    one point one walk serves every genus asked for, each final state's
-    labelled count giving its genus.  Elsewhere the places of the top ends
+    one point one walk serves every genus asked for, each final labelled
+    count giving its genus.  Elsewhere the places of the top ends
     depend on the elevators to come, and each genus takes a walk of its own.
 
     Otherwise a polygon whose rows narrow by two or more per floor on average

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from floordiagrams import floordiag
 from floordiagrams.floordiag import (
     MAX_HEIGHT,
     DiagramError,
@@ -362,6 +363,66 @@ def test_joint_walk_gives_whole_columns(spec):
     # any subset of the column, in any order, takes the same values
     assert refined_invariants(poly, (3, 1)) == {1: column[1], 3: column[3]}
     assert refined_invariants(poly, ()) == {}
+
+
+def short_polygons() -> list[HPolygon]:
+    """Polygons of height 1 and 2: the walks that close at their initial
+    state or right after floor 1."""
+    specs = [f"rect:{a},1" for a in range(1, 7)] + [f"sigma2:1,{b}" for b in range(5)]
+    specs += ["p2:1", "p2:2", "rect:4,2"]
+    short = [poly for poly in small_polygons() if poly.height <= 2]
+    return short + [HPolygon.from_spec(spec) for spec in specs]
+
+
+def test_closing_step_matches_enumeration_on_short_polygons():
+    polys = short_polygons()
+    assert len(polys) == 118
+    for poly in polys:
+        genera = range(poly.interior_lattice_count() + 2)
+        expected = {genus: enumerated_sum(poly, genus) for genus in genera}
+        assert per_genus(poly, genera) == expected, poly
+        assert refined_invariants(poly, genera) == expected, poly
+
+
+def test_walk_returns_only_counts_in_its_span():
+    # the closing step adds an emission only once it reaches lo
+    for poly in short_polygons():
+        widths = poly.floor_profile()
+        base = widths[0] + poly.height - 1
+        for genus in range(poly.interior_lattice_count() + 2):
+            assert set(floordiag._walk(poly, widths, base + genus, base + genus)) <= {base + genus}
+
+
+@pytest.mark.parametrize("spec", ["p2:1", "p2:2", "p2:4", "sigma2:2,0"])
+def test_closing_step_of_a_joint_column(spec, monkeypatch):
+    poly = HPolygon.from_spec(spec)
+    spans, walk = [], floordiag._walk
+
+    def recorded(polygon, widths, lo, hi):
+        spans.append((lo, hi))
+        return walk(polygon, widths, lo, hi)
+
+    monkeypatch.setattr(floordiag, "_walk", recorded)
+    genera = range(poly.interior_lattice_count() + 2)
+    column = refined_invariants(poly, genera)
+    base = poly.floor_profile()[0] + poly.height - 1
+    assert spans == [(base, base + genera[-1])]
+    assert column == {genus: enumerated_sum(poly, genus) for genus in genera}
+
+
+def test_walk_refuses_a_sum_that_the_labelled_factorial_does_not_divide(monkeypatch):
+    # a wrong factor: the constant term of every emission's factor one too large
+    emissions = floordiag._emissions
+
+    def wrong(*args):
+        return tuple(
+            (counts, n, tuple((x, d + (x == 0)) for x, d in mult))
+            for counts, n, mult in emissions(*args)
+        )
+
+    monkeypatch.setattr(floordiag, "_emissions", wrong)
+    with pytest.raises(DiagramError, match=r"^walk sum \d+ is not a multiple of 5! = 120$"):
+        refined_invariant(HPolygon.from_spec("p2:3"), 0)
 
 
 @st.composite

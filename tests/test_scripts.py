@@ -2,6 +2,9 @@ import importlib.util
 import pathlib
 import subprocess
 import sys
+import types
+
+import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -52,3 +55,44 @@ def test_ab_pairs_report_names_each_metric_with_both_sides():
     assert wall.split() == ["pair-columns", "wall_s", "0.25", "[0.225,", "0.275]",
                             "0.1", "[0.1,", "0.1]", "2/2", "gain"]
     assert rss.split()[-1] == "0/2"
+
+
+@pytest.fixture
+def walk_ab():
+    """scripts/walk_ab.py, loaded as a module; the floordiagrams and
+    workloads modules it imports afresh are put back afterwards."""
+    def ours(name):
+        return name.partition(".")[0] in ("floordiagrams", "workloads")
+
+    saved = {name: module for name, module in sys.modules.items() if ours(name)}
+    spec = importlib.util.spec_from_file_location("walk_ab", SCRIPTS / "walk_ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in [name for name in sys.modules if ours(name)]:
+        del sys.modules[name]
+    sys.modules.update(saved)
+
+
+def test_walk_ab_records_times_and_compares_walks(walk_ab, tmp_path):
+    engine = walk_ab.load_engine(SCRIPTS.parent / "src")
+    w = walk_ab.workloads()
+    # rect:2,2 g=0 comes from the set-up's cache; p2:3 is one joint column walk
+    populate = w.cached((w.compute("rect:2,2", "0"),))
+    requests = w.cached((w.compute("rect:2,2", "0..1"),)) + (w.compute("p2:3", "0..1"),) * 2
+    cells = walk_ab.record_walks(engine, requests, populate, tmp_path)
+    assert cells == [
+        (((0, 0), (2, 0), (2, 2), (0, 2)), (2, 2, 2), 4, 4),
+        (((0, 0), (3, 0), (0, 3)), (3, 2, 1, 0), 5, 6),
+    ]
+    best, mismatched = walk_ab.time_cells({"parent": engine, "change": engine}, cells, 2)
+    assert mismatched == []
+    assert all(set(times) == set(cells) for times in best.values())
+    # a side whose walk finds nothing differs on every cell
+    empty = types.SimpleNamespace(polygon=engine.polygon,
+                                  floordiag=types.SimpleNamespace(_walk=lambda *cell: {}))
+    assert walk_ab.time_cells({"parent": engine, "change": empty}, cells, 1)[1] == cells
+    line = walk_ab.report("wide-ends", cells, {"parent": dict.fromkeys(cells, 0.002),
+                                               "change": dict.fromkeys(cells, 0.001)})
+    assert line.split() == ["wide-ends", "2", "cells", "parent", "4.00", "ms",
+                            "change", "2.00", "ms", "ratio", "0.500"]
