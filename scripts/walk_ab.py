@@ -4,12 +4,14 @@
                                [--workdir DIR]
 
 Runs each benchmark workload's requests once through the working tree's CLI,
-in process, and records the `floordiag._walk` calls they make (set-up
-requests excluded; a cached request sees the set-up's cache, as in
-perfbench/run.py).  It then exports the committed files of PARENT with
-`git archive`, as scripts/ab_pairs.py does, loads both trees' packages in
-this one process and runs every distinct recorded call on both, interleaved,
-keeping each side's best CPU time of the repeats.  The values must be equal.
+in process, and records the `floordiag.refined_invariants(polygon, genera)`
+calls they make (set-up requests excluded; a cached request sees the set-up's
+cache, as in perfbench/run.py).  A call, not a `_walk`, is the unit, as the
+two trees may split the same genera into different walks.  It then exports
+the committed files of PARENT with `git archive`, as scripts/ab_pairs.py
+does, loads both trees' packages in this one process and runs every distinct
+recorded call on both, interleaved, keeping each side's best CPU time of the
+repeats.  The values must be equal.
 It prints each workload's cells, the summed best times and their ratio, and
 exits 1 if any value differs.
 """
@@ -17,6 +19,7 @@ exits 1 if any value differs.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import io
 import json
@@ -46,14 +49,17 @@ def load_engine(src: Path):
     return sys.modules["floordiagrams"]
 
 
-def record_walks(engine, requests, populate, workdir: Path) -> list:
-    """The distinct (vertices, widths, lo, hi) of the _walk calls that the
-    requests make, in first-call order, after the populating requests have
-    written their cache; inputs are written under workdir."""
+def record_calls(engine, requests, populate, workdir: Path) -> list:
+    """The distinct (vertices, genera) of the refined_invariants calls that
+    the requests make, in first-call order, after the populating requests
+    have written their cache; inputs are written under workdir."""
     octagon = workdir / "octagon.json"
     pristine, live = workdir / "pristine.jsonl", workdir / "cache.jsonl"
     octagon.write_text(json.dumps({"vertices": workloads().OCTAGON_VERTICES}), encoding="utf-8")
-    floordiag, walk, cells = engine.floordiag, engine.floordiag._walk, {}
+    original, cells = engine.floordiag.refined_invariants, {}
+    # the modules that call it by name, through their own binding
+    owners = [m for m in list(sys.modules.values())
+              if getattr(m, "refined_invariants", None) is original]
 
     def run(request, cache: Path):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
@@ -62,43 +68,51 @@ def record_walks(engine, requests, populate, workdir: Path) -> list:
             except SystemExit:
                 pass
 
-    def recorded(polygon, widths, lo, hi):
-        cells.setdefault((polygon.vertices, tuple(widths), lo, hi), None)
-        return walk(polygon, widths, lo, hi)
+    def recorded(polygon, genera):
+        cells.setdefault((polygon.vertices, tuple(genera)), None)
+        return original(polygon, genera)
 
     for request in populate:
         run(request, pristine)
-    floordiag._walk = recorded
+    for module in owners:
+        module.refined_invariants = recorded
     try:
         for request in requests:
             if request.cached:  # every cached request sees the set-up's file
                 shutil.copyfile(pristine, live)
             run(request, live)
     finally:
-        floordiag._walk = walk
+        for module in owners:
+            module.refined_invariants = original
     return list(cells)
 
 
 def time_cells(engines: dict, cells, repeats: int):
     """({side: {cell: best CPU seconds}}, cells whose values differ between
     the sides): every cell runs on every side in turn, repeats times, the
-    sides' order alternating."""
+    sides' order alternating.  The garbage collector is off meanwhile, as in
+    timeit: a collection would bill one side for the garbage of both."""
     best = {side: {} for side in engines}
     mismatched = []
-    for cell in cells:
-        vertices, widths, lo, hi = cell
-        values = {}
-        for rep in range(repeats):
-            for side in list(engines)[:: 1 if rep % 2 == 0 else -1]:
-                engine = engines[side]
-                polygon = engine.polygon.HPolygon(vertices)
-                start = process_time()
-                value = engine.floordiag._walk(polygon, widths, lo, hi)
-                spent = process_time() - start
-                best[side][cell] = min(best[side].get(cell, spent), spent)
-                values[side] = {k: v.to_coeff_dict() for k, v in value.items()}
-        if len({repr(v) for v in values.values()}) > 1:
-            mismatched.append(cell)
+    gc.collect()
+    gc.disable()
+    try:
+        for cell in cells:
+            vertices, genera = cell
+            values = {}
+            for rep in range(repeats):
+                for side in list(engines)[:: 1 if rep % 2 == 0 else -1]:
+                    engine = engines[side]
+                    polygon = engine.polygon.HPolygon(vertices)
+                    start = process_time()
+                    value = engine.floordiag.refined_invariants(polygon, genera)
+                    spent = process_time() - start
+                    best[side][cell] = min(best[side].get(cell, spent), spent)
+                    values[side] = {k: v.to_coeff_dict() for k, v in value.items()}
+            if len({repr(v) for v in values.values()}) > 1:
+                mismatched.append(cell)
+    finally:
+        gc.enable()
     return best, mismatched
 
 
@@ -146,10 +160,10 @@ def main(argv=None) -> int:
             workload = catalogue[name]
             workdir = Path(scratch) / name
             workdir.mkdir()
-            cells = record_walks(engines["change"], workload.requests, workload.populate, workdir)
+            cells = record_calls(engines["change"], workload.requests, workload.populate, workdir)
             best, mismatched = time_cells(engines, cells, args.repeats)
             for cell in mismatched:
-                print(f"{name}: values differ on _walk{cell}")
+                print(f"{name}: values differ on refined_invariants{cell}")
             failed += len(mismatched)
             print(report(name, cells, best), flush=True)
     return 1 if failed else 0

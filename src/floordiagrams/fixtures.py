@@ -56,7 +56,7 @@ def read_json(path: str):
 def _load(path: str | None = None) -> dict:
     if path is not None:
         return read_json(path)
-    ref = resources.files("floordiagrams").joinpath("data/appendix_tables.json")
+    ref = resources.files(__package__).joinpath("data/appendix_tables.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 
 

@@ -238,19 +238,19 @@ _ONE = ((0, 1),)
 
 
 @cache
-def _emissions(flow: int, most: int, labelled: int, least: int = 1) -> tuple:
+def _emissions(flow: int, most: int, labelled: int, K: int = 1, least: int = 1) -> tuple:
     """(weight counts, elevator count, factor) for every multiset of at most
     `most` elevator weights, each >= least, that sum to flow.  The factor is
-    the product of [w]^2, as (exponent, coefficient) pairs, times the
+    the product of [w]^2, as (exponent times K, coefficient) pairs, times the
     (labelled + n)!/(labelled! prod c!) ways to label the n new elevators."""
     if flow == 0:
         return (((), 0, _ONE),)
     out = []
     for w in range(least, flow + 1):
-        square, power = quantum_square(w).to_coeff_dict().items(), _ONE
+        square, power = [(e * K, c) for e, c in quantum_square(w).to_coeff_dict().items()], _ONE
         for k in range(1, min(most, flow // w) + 1):
             power = tuple(mul_add(dict(power), square, 1, {}).items())
-            for counts, n, mult in _emissions(flow - k * w, most - k, labelled, w + 1):
+            for counts, n, mult in _emissions(flow - k * w, most - k, labelled, K, w + 1):
                 mult = mul_add(dict(mult), power, comb(labelled + n + k, k), {})
                 out.append((((w, k),) + counts, n + k, tuple(mult.items())))
     return tuple(out)
@@ -305,7 +305,7 @@ def _gap_step(states: dict, slopes: list) -> dict:
     return out
 
 
-def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list,
+def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, K: int,
                 close: bool = False) -> dict:
     """Floor f < h takes a sub-multiset of the placed elements as its incoming
     ends and elevators, one of the slope moves of its state, t top ends and
@@ -313,27 +313,37 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list,
     when some count of labelled elements up to hi can finish it, and an
     emission when it reaches need, the least that the lowest count asks of
     the floors so far.  Each (unplaced, weight counts, label) is tallied once
-    a step.
+    a step.  The t top ends take t of the h - f + L - labelled + u + T places
+    above floor f, where T top ends are left and L is the final labelled
+    count: hi - K + 1 + j for the term e*K + j of a sum (K = 1: hi, or T = 0).
 
     With close, f is h - 1 and the step also takes the last gap, which
     places the u elements left in u! ways, and the top floor, which takes
-    them all in one: it returns {labelled: sum}, no states.  The top floor's
-    top-end factor C(hi - labelled + T, T) is 1, as lo = hi or T = 0, and by
-    flow conservation the weight left in flight is its slope plus its T top
-    ends, so the last gap's and the top floor's checks pass every state."""
+    them all in one: it returns {labelled: sum}, no states, in plain
+    exponents.  An emission of n keeps only the terms of L = labelled + n,
+    as need is lo, so the top floor's top-end factor C(L - labelled - n + T,
+    T) is 1, and by flow conservation the weight left in flight is its slope
+    plus its T top ends, so the last gap's and the top floor's checks pass
+    every state."""
     out, relabelled, sums = {}, {}, {}
     for (unplaced, placed, labelled, tops, sid), poly in states.items():
-        # non-top elements above floor f: floors, elevators to come, unplaced
-        # ones (a walk with top ends has lo = hi)
+        rest, short = hi - labelled, need - labelled  # elevators: most to come, fewest now
+        # the places of the t top ends above floor f if L = hi: floors,
+        # elevators to come, unplaced elements and the top ends left
         u = sum(c for _, c in unplaced)
-        above = h - f + hi - labelled + u
+        places = h - f + rest + u + tops
+        part = poly
+        if K > 1:  # the sum by t, each term times its top-end factor; closing, by j
+            rows, split = {0: poly}, {}
+            for k, c in poly.items() if close else ():
+                split.setdefault(k % K, {})[k // K] = c
         # elevators not yet absorbed, by component (bottom ends have none); with
         # those to come, each joins at most two of the components and floors left
         held = {}
         for (_, comp), c in unplaced + placed:
             if comp:
                 held[comp] = held.get(comp, 0) + c
-        spare = hi - labelled + sum(held.values()) - len(held) - h + f
+        spare = rest + sum(held.values()) - len(held) - h + f
         for picks in product(*(range(c + 1) for _, c in placed)):
             ways, inflow, merged, taken, waiting = 1, 0, set(), 0, []
             for ((w, comp), c), b in zip(placed, picks):
@@ -358,23 +368,31 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list,
                 # a floor leaves its component something crossing above
                 for t in range(min(tops, room - (not pending)) + 1):
                     flow = room - t
-                    # the t top ends go among the non-top elements and the
-                    # later floors' top ends above floor f
-                    top_ways = ways * comb(above + tops, t)
-                    most = min(flow, hi - labelled)
+                    if K == 1:
+                        top_ways = ways * comb(places, t)
+                    elif not close:
+                        top_ways, part = ways, rows.get(t)
+                        if part is None:
+                            part = rows[t] = {k: c * comb(places - K + 1 + k % K, t)
+                                              for k, c in poly.items()}
+                    most = flow if flow < rest else rest
                     if close:  # the emissions' factors summed by count, once a step
                         by_n = sums.get((flow, labelled))
                         if by_n is None:
                             by_n = sums[flow, labelled] = {}
                             for _, n, mult in _emissions(flow, most, labelled):
-                                if labelled + n >= need:
+                                if n >= short:
                                     mul_add({0: 1}, mult, 1, by_n.setdefault(n, {}))
                         for n, mult in by_n.items():
                             into = out.setdefault(labelled + n, {})
-                            mul_add(poly, mult.items(), top_ways * factorial(u + n), into)
+                            if K == 1:
+                                mul_add(poly, mult.items(), top_ways * factorial(u + n), into)
+                            elif n - short in split:  # the terms of L = labelled + n
+                                scale = ways * comb(h - f + n + u + tops, t) * factorial(u + n)
+                                mul_add(split[n - short], mult.items(), scale, into)
                         continue
-                    for counts, n, mult in _emissions(flow, most, labelled):
-                        if labelled + n >= need:
+                    for counts, n, mult in _emissions(flow, most, labelled, K):
+                        if n >= short:
                             now = relabelled.get((left, counts, label)) if n else left
                             if now is None:
                                 emitted = tuple(((w, label), c) for w, c in counts)
@@ -382,7 +400,7 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list,
                             into = out.setdefault((now, waiting, labelled + n, tops - t, nid), {})
                             for x, d in mult:
                                 d *= top_ways
-                                for e, c in poly.items():
+                                for e, c in part.items():
                                     into[e + x] = into.get(e + x, 0) + c * d
     return out
 
@@ -391,15 +409,19 @@ def _walk(polygon, widths: tuple, lo: int, hi: int) -> dict:
     """{labelled: value} for the diagrams with lo..hi bottom ends and elevators
     in all, by the walk of refined_invariants; widths is the floor profile."""
     h = len(widths) - 1
+    K = hi - lo + 1 if widths[-1] else 1  # terms e*K + j, j = L - lo
     slopes = _slope_moves(polygon)
     unplaced = (((1, 0), widths[0]),) if widths[0] else ()
-    states = {(unplaced, (), widths[0], widths[-1], 0): {0: 1}}
+    states = {(unplaced, (), widths[0], widths[-1], 0): dict.fromkeys(range(K), 1)}
     for f in range(1, h):
         # an elevator from floor k crosses above it, where no assignment of
         # the slopes is wider than the polygon's row k, so the floors
         # f+1..h-1 emit at most sum(widths[f + 1 : h]) elevators
         need = lo - sum(widths[f + 1 : h])
-        states = _floor_step(_gap_step(states, slopes), f, h, hi, need, slopes, f == h - 1)
+        states = _floor_step(_gap_step(states, slopes), f, h, hi, need, slopes, K, f == h - 1)
+        if K > 1 and f < h - 1:  # the terms whose L the labelled count key[2] can reach
+            states = {key: kept for key, poly in states.items() if (kept := {
+                k: c for k, c in poly.items() if key[2] - lo <= k % K <= key[2] - need})}
     if h == 1:  # the one floor takes the bottom ends in any order
         states = {widths[0]: {0: factorial(widths[0])}} if lo <= widths[0] else {}
     for labelled, poly in states.items():  # {labelled: sum} after the closing step
@@ -431,26 +453,30 @@ def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
     its emissions summed by elevator count, into the sum of its labelled
     count, as the last gap and the top floor add only a factorial.
 
-    The genus enters only through the prunes, as the number of labelled
-    elements, bottom width + genus + h - 1, so on a polygon whose top row is
-    one point one walk serves every genus asked for, each final labelled
-    count giving its genus.  Elsewhere the places of the top ends
-    depend on the elevators to come, and each genus takes a walk of its own.
+    The genus enters through the prunes, as the number of labelled elements,
+    bottom width + genus + h - 1, and through the places of the top ends,
+    which depend on the elevators to come.  One walk serves each run of
+    consecutive genera up to the interior count: with top ends and K genera
+    in the run, a term e*K + j of a sum belongs to the run's j-th genus.
 
-    Otherwise a polygon whose rows narrow by two or more per floor on average
-    is walked upside down, (x, y) -> (x, h - y): its many bottom ends, which
-    the state labels, become top ends, which it does not (README: timings).
+    A polygon whose rows narrow by two or more per floor on average is
+    walked upside down, (x, y) -> (x, h - y): its many bottom ends, which
+    the state labels, become top ends, which it does not (README: timings);
+    not so a polygon whose top row is one point, for a run of two or more.
     """
     genera = sorted(set(genera))
     if genera and genera[0] < 0:
         raise DiagramError("genus must be >= 0")
     if polygon.height > MAX_HEIGHT:
         raise DiagramError(f"height {polygon.height} is above the bound of {MAX_HEIGHT}")
-    widths = polygon.floor_profile()
-    spans = [(g, g) for g in genera]
-    if widths[-1] == 0 and len(genera) > 1:
-        spans = [(genera[0], genera[-1])]
-    elif widths[0] - widths[-1] >= 2 * polygon.height:
+    widths, spans, top = polygon.floor_profile(), [], polygon.interior_lattice_count()
+    for g in genera:  # the runs of consecutive genera up to the interior count
+        if g <= top and spans and spans[-1][1] == g - 1:
+            spans[-1][1] = g
+        elif g <= top:
+            spans.append([g, g])
+    single = all(lo == hi for lo, hi in spans)
+    if widths[0] - widths[-1] >= 2 * polygon.height and (widths[-1] or single):
         polygon = HPolygon([(x, polygon.height - y) for x, y in polygon.vertices])
         widths = widths[::-1]
     base = widths[0] + polygon.height - 1  # labelled elements at genus 0

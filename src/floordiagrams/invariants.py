@@ -185,7 +185,8 @@ class InvariantTable:
     def genus_records(self, polygon, genera: range) -> list[InvariantRecord]:
         """The pairs = 0 records of the genera, in order.  Memoized and
         cached ones are reused; the rest come from one refined_invariants
-        call and are stored and appended in ascending genus order."""
+        call, one walk per run of consecutive missing genera, and are
+        stored and appended in ascending genus order."""
         keys = [InvariantKey.make(polygon, genus, 0) for genus in genera]
         missing = [key.genus for key in keys if key not in self._records]
         if missing:

@@ -1,9 +1,25 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from floordiagrams.invariants import InvariantTable
+from floordiagrams.polygon import HPolygon
 
 
 @pytest.fixture(scope="session")
 def table():
     """One shared in-memory invariant table for the whole run."""
     return InvariantTable()
+
+
+@pytest.fixture(scope="session")
+def octagon() -> HPolygon:
+    """The benchmark's mixed-slope octagon, read from its workload list."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    (vertices,) = (
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "OCTAGON_VERTICES"
+    )
+    return HPolygon(vertices)

@@ -51,6 +51,20 @@ def test_compute_out_of_memory_exits_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
+def test_compute_out_of_memory_in_a_joint_walk_exits_2(capsys, monkeypatch):
+    # a run of genera on a polygon with top ends keys its terms by genus too
+    step = floordiag._floor_step
+
+    def exhausted(*args):
+        if args[6] > 1:  # K, the genera of the run
+            raise MemoryError
+        return step(*args)
+
+    monkeypatch.setattr(floordiag, "_floor_step", exhausted)
+    code, out, err = run(capsys, "compute", "--polygon", "rect:4,3", "--genus", "0..2")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_compute_tallest_allowed_polygon(capsys):
     # a bidegree (1, b) class carries exactly one rational curve
     spec = f"rect:1,{MAX_HEIGHT}"
@@ -92,19 +106,33 @@ WALKS = [
     # rows that narrow by two or more per floor are walked upside down
     ("sigma2:3,3", "0", [(3, 5, 7, 9)]),
     ("sigma2:4,0", "1", [(0, 2, 4, 6, 8)]),
+    # a run of genera too, in one walk with the top ends it then has,
+    ("sigma2:3,3", "0..2", [(3, 5, 7, 9)]),
     # unless one walk serves the column of a polygon whose top row is a point
     ("sigma2:4,0", "0..3", [(8, 6, 4, 2, 0)]),
     # P^2 narrows by one per floor
     ("p2:5", "0..6", [(5, 4, 3, 2, 1, 0)]),
     ("p2:6", "0", [(6, 5, 4, 3, 2, 1, 0)]),
-    ("rect:4,3", "0..2", [(4, 4, 4, 4)] * 3),
+    # one walk serves each run of genera on every polygon
+    ("rect:4,3", "0..2", [(4, 4, 4, 4)]),
+    ("octagon", "0..3", [(2, 4, 4, 2)]),
 ]
+
+
+def polygon_args(spec: str, octagon, tmp_path) -> tuple:
+    """The compute arguments that name the polygon; the benchmark's octagon
+    goes through a polygon file."""
+    if spec != "octagon":
+        return ("--polygon", spec)
+    path = tmp_path / "octagon.json"
+    path.write_text(json.dumps({"vertices": [list(v) for v in octagon.vertices]}))
+    return ("--polygon-file", str(path))
 
 
 @pytest.mark.parametrize(
     "spec, span, walks", WALKS, ids=[f"{spec}-{span}-{len(w)}" for spec, span, w in WALKS]
 )
-def test_compute_genus_column_walks(capsys, monkeypatch, spec, span, walks):
+def test_compute_genus_column_walks(capsys, monkeypatch, tmp_path, octagon, spec, span, walks):
     # the widths each walk receives, bottom row first
     calls = []
     walk = floordiag._walk
@@ -114,7 +142,8 @@ def test_compute_genus_column_walks(capsys, monkeypatch, spec, span, walks):
         return walk(*args)
 
     monkeypatch.setattr(floordiag, "_walk", counting_walk)
-    code, _, _ = run(capsys, "compute", "--polygon", spec, "--genus", span)
+    where = polygon_args(spec, octagon, tmp_path)
+    code, _, _ = run(capsys, "compute", *where, "--genus", span)
     assert code == 0
     assert [widths for _, widths, *_ in calls] == walks
 
@@ -149,6 +178,20 @@ def test_compute_genus_range_matches_single_requests(capsys, tmp_path, spec, top
             payload = {"engine": ENGINE_VERSION, "results": results}
             assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert joint.read_bytes() == single.read_bytes()
+
+
+def test_compute_octagon_genus_range_matches_single_requests(capsys, tmp_path, octagon):
+    # one walk with top ends serves the run; 19 divergence sequences share it
+    where = polygon_args("octagon", octagon, tmp_path)
+    results = []
+    for genus in range(4):
+        code, out, err = run(capsys, "compute", *where, "--genus", str(genus), "--emit", "json")
+        assert (code, err) == (0, "")
+        results += json.loads(out)["results"]
+    code, out, err = run(capsys, "compute", *where, "--genus", "0..3", "--emit", "json")
+    assert (code, err) == (0, "")
+    payload = {"engine": ENGINE_VERSION, "results": results}
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_compute_extrapolated_marker(capsys):

@@ -1,5 +1,12 @@
+import importlib
+import json
+import shutil
+import sys
+from pathlib import Path
+
 import pytest
 
+from floordiagrams import fixtures
 from floordiagrams.fixtures import SURFACES, reference_rows, reference_value
 from floordiagrams.invariants import InvariantError
 from floordiagrams.laurent import LaurentPoly
@@ -61,6 +68,25 @@ def test_alternate_path_loading(tmp_path):
         copy.write_text(fh.read())
     assert reference_rows(path=str(copy)) == rows
     assert reference_value("QH", 1, 1, 0, path=str(copy)) == LaurentPoly.one()
+
+
+def test_bundled_tables_come_from_the_loading_package(tmp_path, monkeypatch):
+    # a copy of the package under another name (vendored, say) reads its own
+    # data file, cut here to its first row
+    copy = tmp_path / "vendored_floordiagrams"
+    shutil.copytree(Path(fixtures.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    tables = copy / "data" / "appendix_tables.json"
+    data = json.loads(tables.read_text(encoding="utf-8"))
+    tables.write_text(json.dumps({**data, "rows": data["rows"][:1]}), encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        vendored = importlib.import_module("vendored_floordiagrams.fixtures")
+        assert len(vendored.reference_rows()) == 1
+    finally:
+        for name in [n for n in sys.modules if n.partition(".")[0] == copy.name]:
+            del sys.modules[name]
+    assert len(reference_rows()) == 60
 
 
 def test_engine_agrees_except_known_cells(table):

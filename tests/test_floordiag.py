@@ -1,7 +1,5 @@
-import ast
 from collections import Counter, defaultdict
-from itertools import combinations_with_replacement, permutations, product
-from pathlib import Path
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -393,21 +391,61 @@ def test_walk_returns_only_counts_in_its_span():
             assert set(floordiag._walk(poly, widths, base + genus, base + genus)) <= {base + genus}
 
 
-@pytest.mark.parametrize("spec", ["p2:1", "p2:2", "p2:4", "sigma2:2,0"])
-def test_closing_step_of_a_joint_column(spec, monkeypatch):
-    poly = HPolygon.from_spec(spec)
-    spans, walk = [], floordiag._walk
+@pytest.fixture
+def spans(monkeypatch) -> list:
+    """The (lo, hi) of each _walk call, in order."""
+    calls, walk = [], floordiag._walk
 
     def recorded(polygon, widths, lo, hi):
-        spans.append((lo, hi))
+        calls.append((lo, hi))
         return walk(polygon, widths, lo, hi)
 
     monkeypatch.setattr(floordiag, "_walk", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["p2:1", "p2:2", "p2:4", "sigma2:2,0"])
+def test_closing_step_of_a_joint_column(spec, spans):
+    poly = HPolygon.from_spec(spec)
     genera = range(poly.interior_lattice_count() + 2)
     column = refined_invariants(poly, genera)
     base = poly.floor_profile()[0] + poly.height - 1
-    assert spans == [(base, base + genera[-1])]
+    # the genus past the interior count takes no walk
+    assert spans == [(base, base + genera[-2])]
     assert column == {genus: enumerated_sum(poly, genus) for genus in genera}
+
+
+def test_one_walk_per_run_of_genera(spans):
+    poly = HPolygon.from_spec("rect:4,4")
+    expected = per_genus(poly, (0, 1, 5, 6))
+    spans.clear()
+    assert refined_invariants(poly, (6, 0, 5, 1)) == expected
+    # genus 0 labels 4 + 3 elements; one span over 0..6 would walk 2..4 too
+    assert spans == [(7, 8), (12, 13)]
+    # rect:2,2 has one interior point: the other 9 998 genera take no walk
+    spans.clear()
+    column = refined_invariants(HPolygon.from_spec("rect:2,2"), range(10**4))
+    assert spans == [(3, 4)]
+    assert sum(map(bool, column.values())) == 2
+
+
+# sigma2:a,b with b > 0 narrows by two per floor and keeps a top row, so its
+# runs are walked upside down with top ends
+RUN_POLYGONS = (
+    [f"rect:{a},{b}" for a in range(1, 5) for b in range(1, 5)]
+    + [f"sigma2:{a},{b}" for a in range(1, 4) for b in range(4)]
+    + ["octagon"]
+)
+
+
+@pytest.mark.parametrize("spec", RUN_POLYGONS)
+def test_joint_walk_matches_per_genus_walks_on_every_run(spec, request):
+    poly = request.getfixturevalue("octagon") if spec == "octagon" else HPolygon.from_spec(spec)
+    genera = range(poly.interior_lattice_count() + 2)
+    single = per_genus(poly, genera)
+    for lo, hi in combinations(genera, 2):
+        run = range(lo, hi + 1)
+        assert refined_invariants(poly, run) == {g: single[g] for g in run}, (lo, hi)
 
 
 def test_walk_refuses_a_sum_that_the_labelled_factorial_does_not_divide(monkeypatch):
@@ -447,21 +485,9 @@ def test_joint_walk_matches_per_genus_walks_on_random_apex_polygons(poly):
     assert refined_invariants(poly, genera) == per_genus(poly, genera)
 
 
-def benchmark_octagon() -> HPolygon:
-    """The benchmark's mixed-slope octagon, read from its workload list."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    (vertices,) = (
-        ast.literal_eval(node.value)
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "OCTAGON_VERTICES"
-    )
-    return HPolygon(vertices)
-
-
-def test_transfer_walk_matches_enumeration_on_the_benchmark_octagon():
+def test_transfer_walk_matches_enumeration_on_the_benchmark_octagon(octagon):
     # the one benchmark input whose slope-move table branches: 19 divergence
     # sequences share each walk
-    octagon = benchmark_octagon()
     assert len(divergence_sequences(octagon)) == 19
     walks = per_genus(octagon, range(8))
     for genus, value in walks.items():

@@ -77,20 +77,29 @@ def walk_ab():
 def test_walk_ab_records_times_and_compares_walks(walk_ab, tmp_path):
     engine = walk_ab.load_engine(SCRIPTS.parent / "src")
     w = walk_ab.workloads()
-    # rect:2,2 g=0 comes from the set-up's cache; p2:3 is one joint column walk
+    # rect:2,2 g=0 comes from the set-up's cache, so only g=1 is asked for;
+    # p2:3 asks for its column in one call, twice; verify's symmetry check,
+    # through its own binding, makes one call per embedding of 7 rectangles
     populate = w.cached((w.compute("rect:2,2", "0"),))
     requests = w.cached((w.compute("rect:2,2", "0..1"),)) + (w.compute("p2:3", "0..1"),) * 2
-    cells = walk_ab.record_walks(engine, requests, populate, tmp_path)
+    requests += (w.Request("verify", ("verify", "--identity", "symmetry")),)
+    cells = walk_ab.record_calls(engine, requests, populate, tmp_path)
+    cells, symmetry = cells[:2], cells[2:]
     assert cells == [
-        (((0, 0), (2, 0), (2, 2), (0, 2)), (2, 2, 2), 4, 4),
-        (((0, 0), (3, 0), (0, 3)), (3, 2, 1, 0), 5, 6),
+        (((0, 0), (2, 0), (2, 2), (0, 2)), (1,)),
+        (((0, 0), (3, 0), (0, 3)), (0, 1)),
+    ]
+    assert len(symmetry) == 14
+    assert symmetry[:2] == [
+        (((0, 0), (1, 0), (1, 2), (0, 2)), (0,)),
+        (((0, 0), (2, 0), (2, 1), (0, 1)), (0,)),
     ]
     best, mismatched = walk_ab.time_cells({"parent": engine, "change": engine}, cells, 2)
     assert mismatched == []
     assert all(set(times) == set(cells) for times in best.values())
-    # a side whose walk finds nothing differs on every cell
-    empty = types.SimpleNamespace(polygon=engine.polygon,
-                                  floordiag=types.SimpleNamespace(_walk=lambda *cell: {}))
+    # a side that finds nothing differs on every cell
+    nothing = types.SimpleNamespace(refined_invariants=lambda *cell: {})
+    empty = types.SimpleNamespace(polygon=engine.polygon, floordiag=nothing)
     assert walk_ab.time_cells({"parent": engine, "change": empty}, cells, 1)[1] == cells
     line = walk_ab.report("wide-ends", cells, {"parent": dict.fromkeys(cells, 0.002),
                                                "change": dict.fromkeys(cells, 0.001)})
