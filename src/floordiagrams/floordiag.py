@@ -409,6 +409,8 @@ def _walk(polygon, widths: tuple, lo: int, hi: int) -> dict:
     """{labelled: value} for the diagrams with lo..hi bottom ends and elevators
     in all, by the walk of refined_invariants; widths is the floor profile."""
     h = len(widths) - 1
+    if h == 1:  # the one floor takes its bottom ends in labelled! orders: the sum is 1
+        return {widths[0]: LaurentPoly.one()} if lo <= widths[0] else {}
     K = hi - lo + 1 if widths[-1] else 1  # terms e*K + j, j = L - lo
     slopes = _slope_moves(polygon)
     unplaced = (((1, 0), widths[0]),) if widths[0] else ()
@@ -422,8 +424,6 @@ def _walk(polygon, widths: tuple, lo: int, hi: int) -> dict:
         if K > 1 and f < h - 1:  # the terms whose L the labelled count key[2] can reach
             states = {key: kept for key, poly in states.items() if (kept := {
                 k: c for k, c in poly.items() if key[2] - lo <= k % K <= key[2] - need})}
-    if h == 1:  # the one floor takes the bottom ends in any order
-        states = {widths[0]: {0: factorial(widths[0])}} if lo <= widths[0] else {}
     for labelled, poly in states.items():  # {labelled: sum} after the closing step
         scale = factorial(labelled)
         for e, c in poly.items():

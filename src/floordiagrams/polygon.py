@@ -15,15 +15,6 @@ class PolygonError(ValueError):
     pass
 
 
-def _primitive(v: tuple[int, int]) -> tuple[int, int]:
-    g = gcd(v[0], v[1])
-    return (v[0] // g, v[1] // g)
-
-
-def _lattice_length(v: tuple[int, int]) -> int:
-    return gcd(v[0], v[1])
-
-
 def _det(u: tuple[int, int], v: tuple[int, int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
@@ -65,12 +56,13 @@ class HPolygon:
 
     Vertices are stored counterclockwise starting from the lexicographically
     smallest one, translated so the bounding box corner sits at the origin.
-    Instances are immutable value objects.  Twice the area is computed on
-    construction; the canonical key, the boundary lattice count and the
+    Instances are immutable value objects.  Twice the area and the boundary
+    steps, each edge's (primitive direction, lattice length) from vertex i to
+    vertex i + 1, are computed on construction; the canonical key and the
     self-intersections are computed on first use and kept in their slots.
     """
 
-    __slots__ = ("_vertices", "_area2", "_key", "_boundary", "_degrees")
+    __slots__ = ("_vertices", "_area2", "_steps", "_key", "_degrees")
 
     def __init__(self, vertices):
         pts = list(vertices)
@@ -85,26 +77,25 @@ class HPolygon:
             raise PolygonError("polygon must have positive area")
         if area2 < 0:
             pts.reverse()
-        n = len(pts)
-        for i in range(n):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
-            turn = _det((b[0] - a[0], b[1] - a[1]), (c[0] - b[0], c[1] - b[1]))
-            if turn <= 0:
-                raise PolygonError("vertices do not bound a convex polygon")
         xmin = min(x for x, _ in pts)
         ymin = min(y for _, y in pts)
         pts = [(x - xmin, y - ymin) for x, y in pts]
         start = pts.index(min(pts))
         pts = pts[start:] + pts[:start]
-        for i in range(n):
-            dx = pts[(i + 1) % n][0] - pts[i][0]
-            dy = pts[(i + 1) % n][1] - pts[i][1]
-            if abs(_primitive((dx, dy))[1]) > 1:
+        steps = []
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+            g = gcd(x1 - x0, y1 - y0)
+            steps.append((((x1 - x0) // g, (y1 - y0) // g), g))
+        if any(_det(steps[i - 1][0], step) <= 0 for i, (step, _) in enumerate(steps)):
+            raise PolygonError("vertices do not bound a convex polygon")
+        for (dx, dy), g in steps:
+            if abs(dy) > 1:
                 raise PolygonError(
-                    "not h-transverse: edge direction (%d, %d)" % (dx, dy)
+                    "not h-transverse: edge direction (%d, %d)" % (dx * g, dy * g)
                 )
         object.__setattr__(self, "_vertices", tuple(pts))
         object.__setattr__(self, "_area2", abs(area2))
+        object.__setattr__(self, "_steps", tuple(steps))
 
     def __setattr__(self, *args):
         raise AttributeError("HPolygon is immutable")
@@ -176,12 +167,6 @@ class HPolygon:
     def vertices(self) -> tuple[tuple[int, int], ...]:
         return self._vertices
 
-    def edges(self):
-        n = len(self._vertices)
-        return [
-            (self._vertices[i], self._vertices[(i + 1) % n]) for i in range(n)
-        ]
-
     @property
     def height(self) -> int:
         return max(y for _, y in self._vertices)
@@ -191,13 +176,7 @@ class HPolygon:
         return self._area2
 
     def boundary_lattice_count(self) -> int:
-        try:
-            return self._boundary
-        except AttributeError:
-            pass
-        return self._keep("_boundary", sum(
-            _lattice_length((q[0] - p[0], q[1] - p[1])) for p, q in self.edges()
-        ))
+        return sum(length for _, length in self._steps)
 
     def interior_lattice_count(self) -> int:
         # Pick's theorem
@@ -208,22 +187,16 @@ class HPolygon:
         return self.boundary_lattice_count() - 1 + genus
 
     def floor_profile(self) -> tuple[int, ...]:
-        """Widths of the polygon at integer heights, bottom to top."""
-        h = self.height
-        xmin = [None] * (h + 1)
-        xmax = [None] * (h + 1)
-        for p, q in self.edges():
-            v = (q[0] - p[0], q[1] - p[1])
-            step = _primitive(v)
-            for t in range(_lattice_length(v) + 1):
-                x, y = p[0] + t * step[0], p[1] + t * step[1]
-                if xmin[y] is None or x < xmin[y]:
-                    xmin[y] = x
-                if xmax[y] is None or x > xmax[y]:
-                    xmax[y] = x
-        if any(lo is None for lo in xmin):
-            raise PolygonError("missing lattice row")  # cannot happen when h-transverse
-        return tuple(xmax[y] - xmin[y] for y in range(h + 1))
+        """Widths of the polygon at integer heights, bottom to top.
+
+        The bottom row is the bottom edge (a vertex: width 0); each row above
+        is narrower by the left plus the right end slope of the floor between
+        them, as each chain's slopes sorted ascending run bottom-up.
+        """
+        widths = [sum(length for step, length in self._steps if step == (1, 0))]
+        for left, right in zip(*self.end_slopes()):
+            widths.append(widths[-1] - left - right)
+        return tuple(widths)
 
     def end_slopes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Vertical slopes of the left and right unbounded curve ends.
@@ -236,13 +209,11 @@ class HPolygon:
         """
         left: list[int] = []
         right: list[int] = []
-        for p, q in self.edges():
-            v = (q[0] - p[0], q[1] - p[1])
-            step = _primitive(v)
-            if step[1] == 1:
-                right.extend([-step[0]] * _lattice_length(v))
-            elif step[1] == -1:
-                left.extend([-step[0]] * _lattice_length(v))
+        for (dx, dy), length in self._steps:
+            if dy == 1:
+                right.extend([-dx] * length)
+            elif dy == -1:
+                left.extend([-dx] * length)
         return tuple(sorted(left)), tuple(sorted(right))
 
     # -- symmetries and keys ----------------------------------------------
@@ -267,11 +238,7 @@ class HPolygon:
 
     def edge_rays(self) -> tuple[tuple[int, int], ...]:
         """Primitive outward normals of the edges, in boundary order."""
-        rays = []
-        for p, q in self.edges():
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            rays.append(_primitive((dy, -dx)))
-        return tuple(rays)
+        return tuple((dy, -dx) for (dx, dy), _ in self._steps)
 
     def self_intersections(self) -> tuple[int | None, ...]:
         """Self-intersection of each edge's toric divisor, in boundary order.
@@ -307,15 +274,10 @@ class HPolygon:
         """Primitive directions of the edges from vertex i to its next and
         previous vertex, once both have lattice length >= 2 and the corner is
         unimodular; raises PolygonError otherwise."""
-        n = len(self._vertices)
-        v = self._vertices[i]
-        nxt = self._vertices[(i + 1) % n]
-        prv = self._vertices[i - 1]
-        u = (nxt[0] - v[0], nxt[1] - v[1])
-        w = (prv[0] - v[0], prv[1] - v[1])
-        if _lattice_length(u) < 2 or _lattice_length(w) < 2:
+        (u, ulen), ((dx, dy), wlen) = self._steps[i], self._steps[i - 1]
+        if ulen < 2 or wlen < 2:
             raise PolygonError("cut of depth 2 does not fit at this corner")
-        u, w = _primitive(u), _primitive(w)
+        w = (-dx, -dy)
         if abs(_det(u, w)) != 1:
             raise PolygonError("corner is not unimodular")
         return u, w

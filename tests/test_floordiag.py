@@ -463,6 +463,20 @@ def test_walk_refuses_a_sum_that_the_labelled_factorial_does_not_divide(monkeypa
         refined_invariant(HPolygon.from_spec("p2:3"), 0)
 
 
+def test_height_one_walk_takes_no_factorial_of_the_width(monkeypatch):
+    # the one floor takes its bottom ends in any order, so the count is 1
+    # however wide the strip, and needs no factorial of its width
+    factorial = floordiag.factorial
+
+    def bounded(n):
+        if n > 100:
+            raise AssertionError(f"factorial({n}) asked for")
+        return factorial(n)
+
+    monkeypatch.setattr(floordiag, "factorial", bounded)
+    assert refined_invariants(HPolygon.rectangle(10**6, 1), [0]) == {0: LaurentPoly.one()}
+
+
 @st.composite
 def apex_polygons(draw):
     """h-transverse polygons of height 1..4 and row widths <= 4 whose top

@@ -56,6 +56,8 @@ def test_normalization_translates_and_rotates_start():
 
 def test_collinear_points_are_cleaned():
     assert HPolygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]) == HPolygon.rectangle(2, 2)
+    # a vertex that doubles back along its edge goes too
+    assert HPolygon([(0, 0), (2, 0), (1, 0), (1, 1)]).vertices == ((0, 0), (1, 0), (1, 1))
 
 
 def test_rejects_bad_input():
@@ -69,6 +71,21 @@ def test_rejects_bad_input():
     for bad in ((2.7, 0), (True, 0), ("2", "0"), (2, 0, 0)):
         with pytest.raises(PolygonError, match="is not a pair of integers"):
             HPolygon([(0, 0), bad, (0, 2)])
+
+
+@pytest.mark.parametrize("vertices, message", [
+    # the message names the full edge vector, not its primitive direction
+    ([(0, 0), (2, 0), (0, 4)], "not h-transverse: edge direction (-2, 4)"),
+    # of two steep edges, the first from the smallest vertex, whatever the input order
+    ([(0, 4), (1, 2), (0, 0)], "not h-transverse: edge direction (1, 2)"),
+    # neither convex nor h-transverse: convexity is checked first
+    ([(0, 0), (4, 0), (1, 1), (0, 4)], "vertices do not bound a convex polygon"),
+    ([(0, 0), (2, 0), (4, 0)], "polygon must have positive area"),
+])
+def test_constructor_errors_and_their_order(vertices, message):
+    with pytest.raises(PolygonError) as err:
+        HPolygon(vertices)
+    assert str(err.value) == message
 
 
 def test_lattice_counts_small_cases():
@@ -129,9 +146,10 @@ def test_transpose_and_reflection():
 
 
 @st.composite
-def h_transverse_polygons(draw):
-    """Rows 0..h whose left ends step by rising amounts and right ends by
-    falling ones, so both sides are convex chains of (a, 1) edges."""
+def h_transverse_rows(draw):
+    """(left end, right end) of rows 0..h whose left ends step by rising
+    amounts and right ends by falling ones, so both sides are convex chains
+    of (a, 1) edges."""
     h = draw(st.integers(1, 6))
     left = sorted(draw(st.lists(st.integers(-3, 3), min_size=h, max_size=h)))
     right = sorted(draw(st.lists(st.integers(-3, 3), min_size=h, max_size=h)), reverse=True)
@@ -139,12 +157,89 @@ def h_transverse_polygons(draw):
     for a, b in zip(left, right):
         rows.append((rows[-1][0] + a, rows[-1][1] + b))
     assume(all(lo <= hi for lo, hi in rows))
+    return rows
+
+
+def polygon_of_rows(rows):
     boundary = [(lo, y) for y, (lo, _) in enumerate(rows)][::-1]
     boundary += [(hi, y) for y, (_, hi) in enumerate(rows)]
     try:
         return HPolygon(boundary)
     except PolygonError:  # zero area
         assume(False)
+
+
+@st.composite
+def h_transverse_polygons(draw):
+    return polygon_of_rows(draw(h_transverse_rows()))
+
+
+def edges_of(polygon):
+    """(start, end) of each edge, read from the vertex list."""
+    vertices = polygon.vertices
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+def scanned_rows(polygon):
+    """(least x, greatest x) of each lattice row, bottom to top, from testing
+    every point of the bounding box against every edge of the vertex list."""
+    edges, width = edges_of(polygon), max(x for x, _ in polygon.vertices)
+    rows = []
+    for y in range(polygon.height + 1):
+        xs = [
+            x for x in range(width + 1)
+            if all((x1 - x0) * (y - y0) >= (y1 - y0) * (x - x0) for (x0, y0), (x1, y1) in edges)
+        ]
+        rows.append((xs[0], xs[-1]))
+    return rows
+
+
+def check_boundary_against_the_vertex_list(polygon):
+    """floor_profile, end_slopes, edge_rays and boundary_lattice_count
+    against values that read the vertex list, not the boundary steps."""
+    rows = scanned_rows(polygon)
+    assert polygon.floor_profile() == tuple(hi - lo for lo, hi in rows)
+    # going up a row, the left end moves by its slope, the right end against it
+    steps = list(zip(rows, rows[1:]))
+    assert polygon.end_slopes() == (
+        tuple(sorted(lo1 - lo0 for (lo0, _), (lo1, _) in steps)),
+        tuple(sorted(hi0 - hi1 for (_, hi0), (_, hi1) in steps)),
+    )
+    edges, rays = edges_of(polygon), []
+    for (x0, y0), (x1, y1) in edges:
+        g = gcd(x1 - x0, y1 - y0)
+        ray = ((y1 - y0) // g, (x0 - x1) // g)
+        # outward: no vertex lies beyond the edge's line
+        assert all(ray[0] * (x - x0) + ray[1] * (y - y0) <= 0 for x, y in polygon.vertices)
+        rays.append(ray)
+    assert polygon.edge_rays() == tuple(rays)
+    on_boundary = {
+        (x, y)
+        for (x0, y0), (x1, y1) in edges
+        for x in range(min(x0, x1), max(x0, x1) + 1)
+        for y in range(min(y0, y1), max(y0, y1) + 1)
+        if (x1 - x0) * (y - y0) == (y1 - y0) * (x - x0)
+    }
+    assert polygon.boundary_lattice_count() == len(on_boundary)
+
+
+@given(h_transverse_rows())
+def test_boundary_queries_match_the_drawn_rows_and_the_vertex_list(rows):
+    polygon = polygon_of_rows(rows)
+    assert polygon.floor_profile() == tuple(hi - lo for lo, hi in rows)
+    check_boundary_against_the_vertex_list(polygon)
+
+
+NAMED_FAMILIES = (
+    [HPolygon.rectangle(a, b) for a in range(1, 6) for b in range(1, 6)]
+    + [HPolygon.sigma2_trapezoid(a, b) for a in range(1, 5) for b in range(4)]
+    + [HPolygon.p2_triangle(d) for d in range(1, 8)]
+)
+
+
+def test_boundary_queries_on_the_named_families_and_the_octagon(octagon):
+    for polygon in NAMED_FAMILIES + [octagon]:
+        check_boundary_against_the_vertex_list(polygon)
 
 
 @given(h_transverse_polygons())
@@ -300,7 +395,7 @@ def test_kept_values_equal_a_fresh_computation(polygon):
     # on the call; the kept values must match it on first and later calls
     for _ in range(2):
         assert derived_values(polygon) == derived_values(HPolygon(polygon.vertices))
-    edges = list(zip(polygon.vertices, polygon.vertices[1:] + polygon.vertices[:1]))
+    edges = edges_of(polygon)
     assert polygon.area2 == sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges)
     assert polygon.boundary_lattice_count() == sum(
         gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges
@@ -322,11 +417,11 @@ def test_each_value_is_computed_once_per_instance(monkeypatch):
     monkeypatch.setattr(HPolygon, "_keep", counting_keep)
     monkeypatch.setattr(HPolygon, "edge_rays", counting_rays)
     trap = HPolygon.sigma2_trapezoid(2, 2)
-    assert fills == []  # the area is computed on construction, without a fill
+    assert fills == []  # the area and steps come on construction, without a fill
     for _ in range(3):
         derived_values(trap)
         trap.corner_cut((0, 0))
-    assert sorted(fills) == ["_boundary", "_degrees", "_key"]
+    assert sorted(fills) == ["_degrees", "_key"]
     assert rays == [trap]
 
 
@@ -335,7 +430,7 @@ def test_filled_slots_change_no_equality_or_immutability():
     derived_values(full)
     assert full == bare and hash(full) == hash(bare) and repr(full) == repr(bare)
     assert len({full, bare}) == 1
-    for attr in ("_key", "_boundary", "_degrees", "_area2", "vertices"):
+    for attr in ("_key", "_steps", "_degrees", "_area2", "vertices"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(full, attr, None)
     assert derived_values(full) == derived_values(bare)

@@ -50,3 +50,35 @@ def test_process_wide_memos_are_pinned():
                 if _is_memo(node.value.func):
                     found.update(f"{path.stem}.{ast.unparse(t)}" for t in node.targets)
     assert found == {"cli.build_parser", "floordiag._choices", "floordiag._emissions"}
+
+
+def _module_level_names(tree) -> set:
+    """Names that a module's top-level statements define or import."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+    return names
+
+
+def test_every_private_module_name_is_used_in_its_module():
+    # a private helper is no one else's to call, so one that its own module
+    # never reads is dead code left behind by a change
+    checked, unused = 0, []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for name in sorted(_module_level_names(tree)):
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                checked += 1
+                if name not in loaded:
+                    unused.append(f"{path.stem}.{name}")
+    assert checked and unused == []
