@@ -19,7 +19,7 @@ import os
 import sys
 from functools import cache
 
-from .fixtures import read_json, reference_rows, surface_spec
+from .fixtures import read_json, reference_rows
 from .floordiag import diagram_sum, diagram_terms, refined_invariants
 from .invariants import (
     CACHE_ENV_VAR,
@@ -174,15 +174,25 @@ def run_compute(args) -> int:
     return 0
 
 
-def _replay(table, rows, emit: str, polygon) -> int:
-    """Replay golden rows against table, print the report, return its exit
-    code; polygon(spec) builds the rows' polygons."""
+def _admitted(table, rows) -> tuple:
+    """The golden rows, once each is known to be an admissible request: an
+    inadmissible row is refused like a bad request, before any record is
+    computed, and not replayed as stuck."""
+    for row in rows:
+        try:
+            InvariantKey.make(table.polygon(row.spec()), row.genus, row.pairs)
+        except InvariantError as err:
+            raise InvariantError(f"golden row {row.label()}: {err}") from None
+    return rows
+
+
+def _replay(table, rows, emit: str) -> int:
+    """Replay golden rows against table, print the report, return its exit code."""
     report = []
     for row in rows:
         entry = {"row": row.label(), "expected": row.value.to_json_dict()}
         try:
-            spec = surface_spec(row.surface, row.a, row.b)
-            rec = table.record(polygon(spec), row.genus, row.pairs)
+            rec = table.record(table.polygon(row.spec()), row.genus, row.pairs)
         except InvariantError as err:
             entry["status"] = "stuck"
             entry["error"] = str(err)
@@ -231,16 +241,16 @@ def run_appendix(args) -> int:
     if args.genus_only:
         rows = tuple(r for r in rows if r.pairs == 0)
     table = InvariantTable(cache_path=args.cache)
-    return _replay(table, rows, args.emit, cache(HPolygon.from_spec))
+    return _replay(table, _admitted(table, rows), args.emit)
 
 
-def _check_symmetry(table, polygon=HPolygon.from_spec) -> dict:
-    # table unused: each embedding is evaluated directly
+def _check_symmetry(table) -> dict:
+    # table only builds the polygons: each embedding is evaluated directly
     failures = []
     checked = 0
     for a, b in SYMMETRY_SHAPES:
-        rect = polygon(f"rect:{a},{b}")
-        swapped = polygon(f"rect:{b},{a}")
+        rect = table.polygon(f"rect:{a},{b}")
+        swapped = table.polygon(f"rect:{b},{a}")
         # direct evaluation on each embedding, no canonicalization
         genera = range(rect.interior_lattice_count() + 1)
         left, right = refined_invariants(rect, genera), refined_invariants(swapped, genera)
@@ -249,11 +259,11 @@ def _check_symmetry(table, polygon=HPolygon.from_spec) -> dict:
     return surgery.identity_report("symmetry", checked, failures)
 
 
-def _check_monotone(table, polygon=HPolygon.from_spec) -> dict:
+def _check_monotone(table) -> dict:
     failures = []
     checked = 0
     for spec, top in MONOTONE_COLUMNS:
-        shape, prev = polygon(spec), None
+        shape, prev = table.polygon(spec), None
         for s in range(top + 1):
             value = table.refined_descendant(shape, s)
             coeffs = value.to_coeff_dict()
@@ -270,11 +280,11 @@ def _check_monotone(table, polygon=HPolygon.from_spec) -> dict:
     return surgery.identity_report("monotone-s", checked, failures)
 
 
-def _check_independence(table, polygon=HPolygon.from_spec) -> dict:
+def _check_independence(table) -> dict:
     failures = []
     checked = 0
     for spec, pairs in INDEPENDENCE_CASES:
-        shape = polygon(spec)
+        shape = table.polygon(spec)
         for s in range(1, min(pairs, max_pairs(shape)) + 1):
             checked += 1
             values = table.descendant_value_set(shape, s)
@@ -285,13 +295,9 @@ def _check_independence(table, polygon=HPolygon.from_spec) -> dict:
     return surgery.identity_report("cut-independence", checked, failures)
 
 
-def _check_conjecture(table, polygon=HPolygon.from_spec) -> dict:
-    def build(surface, a, b):
-        return polygon(surface_spec(surface, a, b))
-
+def _check_conjecture(table) -> dict:
     instances = [
-        surgery.check_conjecture_quadric(table, *instance, build=build)
-        for instance in CONJECTURE_INSTANCES
+        surgery.check_conjecture_quadric(table, *instance) for instance in CONJECTURE_INSTANCES
     ]
     skipped = [
         {"a": a, "b": b, "genus": g, "pairs": s, "reason": "pair recursion stuck"}
@@ -303,11 +309,10 @@ def _check_conjecture(table, polygon=HPolygon.from_spec) -> dict:
     )
 
 
-# name -> check(table, polygon): polygon(spec) builds the polygons, by
-# default each anew; verify passes one builder for the whole request
+# name -> check(table); the table builds each named polygon once
 IDENTITY_CHECKS = {
-    "u-inversion": lambda table, polygon=None: surgery.check_u_inversion(),
-    "main-proof": lambda table, polygon=None: surgery.check_mainproof_coeffs(),
+    "u-inversion": lambda table: surgery.check_u_inversion(),
+    "main-proof": lambda table: surgery.check_mainproof_coeffs(),
     "conj-quadric": _check_conjecture,
     "symmetry": _check_symmetry,
     "monotone-s": _check_monotone,
@@ -320,11 +325,10 @@ def run_verify(args) -> int:
     if args.fixtures and args.suite != "all":
         raise ValueError("--fixtures only applies to --suite all")
     table = InvariantTable(cache_path=args.cache)
-    polygon = cache(HPolygon.from_spec)  # the request builds each named polygon once
-    reports = [IDENTITY_CHECKS[name](table, polygon) for name in args.identity or IDENTITIES]
-    appendix_exit = 0
-    if args.suite == "all":
-        appendix_exit = _replay(table, reference_rows(args.fixtures), args.emit, polygon)
+    # the rows are checked before any identity computes a record
+    rows = _admitted(table, reference_rows(args.fixtures)) if args.suite == "all" else None
+    reports = [IDENTITY_CHECKS[name](table) for name in args.identity or IDENTITIES]
+    appendix_exit = 0 if rows is None else _replay(table, rows, args.emit)
     payload = {
         "engine": ENGINE_VERSION,
         "reports": reports,

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .laurent import LaurentPoly
-from .polygon import HPolygon
 
 SURFACES = ("QH", "Sigma2")
 _FIELDS = ("surface", "a", "b", "genus", "pairs", "coeffs")
@@ -22,18 +21,11 @@ class ReferenceRow:
     pairs: int
     value: LaurentPoly
 
-    def polygon(self) -> HPolygon:
-        return surface_polygon(self.surface, self.a, self.b)
+    def spec(self) -> str:
+        return surface_spec(self.surface, self.a, self.b)
 
     def label(self) -> str:
-        return f"{surface_spec(self.surface, self.a, self.b)} g={self.genus} s={self.pairs}"
-
-
-def surface_polygon(surface: str, a: int, b: int) -> HPolygon:
-    """Newton polygon of the class (a, b): a rectangle on QH, a trapezoid on Sigma2."""
-    if surface == "QH":
-        return HPolygon.rectangle(a, b)
-    return HPolygon.sigma2_trapezoid(a, b)
+        return f"{self.spec()} g={self.genus} s={self.pairs}"
 
 
 def surface_spec(surface: str, a: int, b: int) -> str:

@@ -152,10 +152,17 @@ class InvariantTable:
         self._torn_cache_lines = 0
         self._torn: tuple[int, int] | None = None  # byte span of a torn last line
         self._cuts: dict[HPolygon, tuple] = {}
+        self._polygons: dict[str, HPolygon] = {}
         if self._cache_path and os.path.exists(self._cache_path):
             self._load_cache()
 
     # -- public API --------------------------------------------------------
+
+    def polygon(self, spec: str) -> HPolygon:
+        """The polygon of a named spec, built once per table, so once per request."""
+        if spec not in self._polygons:
+            self._polygons[spec] = HPolygon.from_spec(spec)
+        return self._polygons[spec]
 
     def refined_invariant(self, polygon, genus: int) -> LaurentPoly:
         return self.record(polygon, genus, 0).value

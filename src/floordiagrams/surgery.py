@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .fixtures import surface_polygon
+from .fixtures import surface_spec
 from .laurent import LaurentPoly
 
 
@@ -131,28 +131,21 @@ def quadric_rhs_terms(a: int, b: int):
     return terms
 
 
-def check_conjecture_quadric(table, a: int, b: int, genus: int, pairs: int = 0,
-                             build=surface_polygon) -> dict:
+def check_conjecture_quadric(table, a: int, b: int, genus: int, pairs: int = 0) -> dict:
     """Compare the trapezoid invariant with its u-weighted quadric expansion.
 
-    table is an InvariantTable; the rectangle terms are looked up before the
-    trapezoid.  build(surface, a, b) makes each polygon, so a caller
-    checking many instances can pass one that reuses what it built.
-    Equality of both Laurent polynomials is the conjecture instance,
-    reported as `verify --identity conj-quadric` prints it.
+    table is an InvariantTable, which builds each polygon once; the
+    rectangle terms are looked up before the trapezoid.  Equality of both
+    Laurent polynomials is the conjecture instance, reported as
+    `verify --identity conj-quadric` prints it.
     """
     if pairs and genus:
         raise SurgeryError("conjugate pairs only refine genus 0")
-
-    def value(polygon):
-        if pairs:
-            return table.refined_descendant(polygon, pairs)
-        return table.refined_invariant(polygon, genus)
-
     rhs = LaurentPoly.zero()
     for term in quadric_rhs_terms(a, b):
-        rhs = rhs + term["coeff"] * value(build("QH", *term["bidegree"]))
-    lhs = value(build("Sigma2", a, b))
+        polygon = table.polygon(surface_spec("QH", *term["bidegree"]))
+        rhs = rhs + term["coeff"] * table.record(polygon, genus, pairs).value
+    lhs = table.record(table.polygon(surface_spec("Sigma2", a, b)), genus, pairs).value
     return {
         "a": a,
         "b": b,

@@ -481,6 +481,30 @@ def test_appendix_malformed_fixture(capsys, tmp_path, fixture):
         assert f"malformed row {len(fixture['rows'])} of {path}" in err
 
 
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ({**GOOD_ROW, "genus": 1, "pairs": 1}, "conjugate pairs only refine genus 0"),
+        ({**GOOD_ROW, "pairs": 9}, "pairs = 9 exceeds half the point count of "),
+        ({**GOOD_ROW, "b": 70}, "has height 70, above the bound of 64"),
+    ],
+    ids=["pairs-above-genus-0", "too-many-pairs", "too-tall"],
+)
+@pytest.mark.parametrize("command", [("appendix",), ("verify", "--suite", "all")])
+def test_inadmissible_golden_row_exits_2_before_any_record(capsys, tmp_path, row, reason, command):
+    # such a row asks for no cell at all, so it is refused like a bad compute
+    # request rather than replayed as stuck; the first one refused is named
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"rows": [GOOD_ROW, row, {**GOOD_ROW, "b": 71}]}))
+    cache = tmp_path / "cache.jsonl"
+    code, out, err = run(capsys, "--cache", str(cache), *command, "--fixtures", str(path))
+    label = f"rect:{row['a']},{row['b']} g={row['genus']} s={row['pairs']}"
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: golden row {label}: ") and reason in err
+    assert len(err.splitlines()) == 1
+    assert not cache.exists()
+
+
 def test_verify_single_identities(capsys):
     for name in ("u-inversion", "main-proof"):
         code, out, _ = run(capsys, "verify", "--identity", name)

@@ -43,7 +43,7 @@ def test_row_count_and_shape():
 
 def test_polygons_match_surfaces():
     for row in reference_rows():
-        poly = row.polygon()
+        poly = HPolygon.from_spec(row.spec())
         if row.surface == "QH":
             assert poly == HPolygon.rectangle(row.a, row.b)
         else:
@@ -95,7 +95,7 @@ def test_engine_agrees_except_known_cells(table):
     stuck = set()
     for row in reference_rows():
         key = (row.surface, row.a, row.b, row.genus, row.pairs)
-        poly = row.polygon()
+        poly = HPolygon.from_spec(row.spec())
         try:
             if row.pairs:
                 got = table.refined_descendant(poly, row.pairs)
