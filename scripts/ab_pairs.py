@@ -95,16 +95,21 @@ def report(workload: str, metrics, parent_runs, change_runs) -> list[str]:
 
 
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="git revision to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", action="append", help="default: every workload")
+    parser.add_argument("--pairs", type=int, default=10, help="at least 1")
+    parser.add_argument("--workload", action="append",
+                        choices=[w["name"] for w in bench["workloads"]],
+                        help="default: every workload")
     parser.add_argument("--seconds", type=int, default=None,
                         help="run length (default: run_seconds from BENCHMARK.json)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workdir", default=None, help="where the parent is unpacked")
     args = parser.parse_args(argv)
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    # refused here, before the parent is exported: no pair leaves no median
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, not {args.pairs}")
     seconds = args.seconds or bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     print(f"{'workload':13s} {'metric':15s} {'parent median [q1, q3]':28s} "

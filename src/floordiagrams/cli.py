@@ -28,12 +28,15 @@ from .invariants import (
     InvariantKey,
     InvariantRecord,
     InvariantTable,
+    StuckError,
     max_pairs,
 )
 from .polygon import HPolygon, PolygonError
 from . import surgery
 
-# engine-reachable conjecture instances: (a, b, genus, pairs)
+# conjecture instances (a, b, genus, pairs); verify skips those the pair
+# recursion cannot reach, and the acceptance suite checks them all on the
+# golden tables
 CONJECTURE_INSTANCES = tuple(
     [(1, b, 0, 0) for b in range(6)]
     + [(2, 0, 1, 0)]
@@ -41,22 +44,11 @@ CONJECTURE_INSTANCES = tuple(
     + [(2, 2, g, 0) for g in (1, 2, 3)]
     + [(2, 2, 0, s) for s in range(6)]
     + [(3, 0, g, 0) for g in (1, 2, 3, 4)]
-    + [(3, 0, 0, s) for s in range(3)]
+    + [(3, 0, 0, s) for s in range(6)]
 )
 
-# deeper instances need the stuck deep-pair values on both sides; the golden
-# tables themselves are compared in the acceptance suite instead
-CONJECTURE_SKIPPED = tuple((3, 0, 0, s) for s in (3, 4, 5))
-
-MONOTONE_COLUMNS = (
-    ("rect:2,2", 3),
-    ("rect:2,4", 5),
-    ("rect:3,3", 2),
-    ("sigma2:2,0", 3),
-    ("sigma2:2,2", 5),
-    ("p2:3", 4),
-    ("p2:4", 5),
-)
+# each column runs s = 0 .. max_pairs, or up to its first stuck s
+MONOTONE_COLUMNS = ("rect:2,2", "rect:2,4", "rect:3,3", "sigma2:2,0", "sigma2:2,2", "p2:3", "p2:4")
 
 SYMMETRY_SHAPES = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4))
 
@@ -134,7 +126,7 @@ def run_compute(args) -> int:
         for pairs in pairs_span:
             try:
                 rec = table.record(polygon, 0, pairs)
-            except InvariantError as err:
+            except StuckError as err:
                 err.trace = table.recursion_trace(polygon, pairs_span[-1])
                 raise
             cells.append((0, pairs, rec, ()))
@@ -193,7 +185,7 @@ def _replay(table, rows, emit: str) -> int:
         entry = {"row": row.label(), "expected": row.value.to_json_dict()}
         try:
             rec = table.record(table.polygon(row.spec()), row.genus, row.pairs)
-        except InvariantError as err:
+        except StuckError as err:
             entry["status"] = "stuck"
             entry["error"] = str(err)
         else:
@@ -262,11 +254,13 @@ def _check_symmetry(table) -> dict:
 def _check_monotone(table) -> dict:
     failures = []
     checked = 0
-    for spec, top in MONOTONE_COLUMNS:
+    for spec in MONOTONE_COLUMNS:
         shape, prev = table.polygon(spec), None
-        for s in range(top + 1):
-            value = table.refined_descendant(shape, s)
-            coeffs = value.to_coeff_dict()
+        for s in range(max_pairs(shape) + 1):
+            try:
+                coeffs = table.refined_descendant(shape, s).to_coeff_dict()
+            except StuckError:
+                break
             checked += 1
             if any(c < 0 for c in coeffs.values()):
                 failures.append({"polygon": spec, "s": s, "reason": "negative coefficient"})
@@ -296,13 +290,12 @@ def _check_independence(table) -> dict:
 
 
 def _check_conjecture(table) -> dict:
-    instances = [
-        surgery.check_conjecture_quadric(table, *instance) for instance in CONJECTURE_INSTANCES
-    ]
-    skipped = [
-        {"a": a, "b": b, "genus": g, "pairs": s, "reason": "pair recursion stuck"}
-        for a, b, g, s in CONJECTURE_SKIPPED
-    ]
+    instances, skipped = [], []
+    for a, b, g, s in CONJECTURE_INSTANCES:
+        try:
+            instances.append(surgery.check_conjecture_quadric(table, a, b, g, s))
+        except StuckError:
+            skipped.append(dict(a=a, b=b, genus=g, pairs=s, reason="pair recursion stuck"))
     failures = [i for i in instances if not i["passed"]]
     return surgery.identity_report(
         "conj-quadric", len(instances), failures, instances=instances, skipped=skipped

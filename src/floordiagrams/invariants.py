@@ -12,8 +12,8 @@ arithmetic genus, so it carries no curves and the correction term vanishes.
 Otherwise the class is nonempty but none of its curves are reachable by a
 toric-fixed-point cut (every candidate corner either lacks room or sits on a
 divisor of negative self-intersection, where the fixed point is not a generic
-point of the surface); the recursion is stuck and we raise rather than return
-a wrong value.
+point of the surface); the recursion is stuck and we raise StuckError rather
+than return a wrong value.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ class InvariantError(ValueError):
     trace: dict | None = None
 
 
-def _stuck_error(polygon) -> InvariantError:
+class StuckError(InvariantError):
+    """A value the pair recursion cannot reach; see _stuck_error."""
+
+
+def _stuck_error(polygon) -> StuckError:
     """Error for a nonempty class d - 2E that no corner cut reaches."""
     if polygon.has_room_for_cut():
         detail = (
@@ -51,7 +55,7 @@ def _stuck_error(polygon) -> InvariantError:
         )
     else:
         detail = "no corner has room for a depth-2 cut"
-    return InvariantError(
+    return StuckError(
         f"pair recursion is stuck on {polygon!r}: the class d - 2E is "
         f"nonempty but {detail}"
     )
@@ -146,6 +150,7 @@ class InvariantTable:
 
     def __init__(self, cache_path: str | None = None, verify_cache: bool = False):
         self._records: dict[InvariantKey, InvariantRecord] = {}
+        self._stuck: dict[InvariantKey, str] = {}  # raised again, never cached
         self._cache_path = cache_path
         self._verify_cache = verify_cache
         self._stale_cache_lines = 0
@@ -184,7 +189,13 @@ class InvariantTable:
             return self._records[key]
         except KeyError:
             pass
-        rec = self._compute(polygon, genus, pairs)
+        if key in self._stuck:
+            raise StuckError(self._stuck[key])
+        try:
+            rec = self._compute(polygon, genus, pairs)
+        except StuckError as err:
+            self._stuck[key] = str(err)
+            raise
         self._records[key] = rec
         self._append_cache(key, rec)
         return rec
@@ -214,18 +225,14 @@ class InvariantTable:
 
         Empty when no corner admits the cut and the polygon has no interior
         lattice points: d - 2E then has negative arithmetic genus, so the
-        correction term is an empty count.  Raises when no corner admits the cut
-        but the class is nonempty.  Options are memoized per polygon; a stuck
-        polygon is searched, and raises, again on every call.
+        correction term is an empty count.  Raises StuckError when the class is
+        nonempty.  Each polygon is searched once per table, stuck or not.
         """
-        try:
-            return self._cuts[polygon]
-        except KeyError:
-            pass
-        options = polygon.admissible_cuts()
+        options = self._cuts.get(polygon)
+        if options is None:
+            options = self._cuts[polygon] = polygon.admissible_cuts()
         if not options and polygon.interior_lattice_count() > 0:
             raise _stuck_error(polygon)
-        self._cuts[polygon] = options
         return options
 
     def _compute(self, polygon, genus: int, pairs: int) -> InvariantRecord:
@@ -296,7 +303,7 @@ class InvariantTable:
         visited.add(key)
         try:
             rec = self.record(polygon, 0, pairs)
-        except InvariantError as err:
+        except StuckError as err:
             node["error"] = str(err)
         else:
             node["value"] = rec.value.to_json_dict()
@@ -305,7 +312,7 @@ class InvariantTable:
             return node
         try:
             options = self._pair_step(polygon)
-        except InvariantError:
+        except StuckError:
             return node
         node["corner"] = None
         node["children"] = [self.recursion_trace(polygon, pairs - 1, visited)]

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from floordiagrams.cli import CONJECTURE_INSTANCES, CONJECTURE_SKIPPED, SYMMETRY_SHAPES
+from floordiagrams.cli import CONJECTURE_INSTANCES, SYMMETRY_SHAPES
 from floordiagrams.fixtures import reference_rows, reference_value
 from floordiagrams.floordiag import enumerate_diagrams
 from floordiagrams.floordiag import refined_invariant as direct_invariant
@@ -112,7 +112,7 @@ def _qh_reference(table, m, n, genus, pairs):
 
 
 def _conjecture_cells():
-    # the instances verify checks plus the ones it skips, on the stored tables
+    # every instance, on the stored tables, those verify skips as stuck included
     bad_row = pytest.mark.xfail(
         strict=True,
         reason="stored expansion gives 48 at the center against the "
@@ -121,7 +121,7 @@ def _conjecture_cells():
     )
     return [
         pytest.param(*cell, marks=bad_row if cell == (3, 0, 0, 5) else ())
-        for cell in CONJECTURE_INSTANCES + CONJECTURE_SKIPPED
+        for cell in CONJECTURE_INSTANCES
     ]
 
 

@@ -79,7 +79,7 @@ def test_traced_verify_and_listing_reach_the_surgery_and_floordiag_wrappers(caps
     assert codes == (0, 0)
     counts = tracer.counts()
     # u-inversion, main-proof and one call per conjecture instance
-    assert counts["surgery.check.calls"] == 2 + len(cli.CONJECTURE_INSTANCES) == 29
+    assert counts["surgery.check.calls"] == 2 + len(cli.CONJECTURE_INSTANCES) == 32
     enumerator = [name for name in counts if name.startswith(ENUMERATOR_COUNTERS)]
     assert len(enumerator) == 7
     assert all(counts[name] for name in enumerator), counts

@@ -13,8 +13,10 @@ from floordiagrams.invariants import (
     CACHE_ENV_VAR,
     ENGINE_VERSION,
     MAX_HEIGHT,
+    InvariantError,
     InvariantKey,
     InvariantTable,
+    max_pairs,
 )
 from floordiagrams.fixtures import reference_rows
 from floordiagrams.polygon import HPolygon
@@ -520,6 +522,72 @@ def test_verify_identity_suite(capsys):
     assert "3 skipped" in out
 
 
+def _reaches(spec, pairs, target) -> bool:
+    """Whether the pair recursion of spec at pairs, on a table of its own,
+    gets stuck or searches target for a cut."""
+    stack = [InvariantTable().recursion_trace(HPolygon.from_spec(spec), pairs)]
+    while stack:
+        node = stack.pop()
+        if "error" in node or node["pairs"] and HPolygon(node["polygon"]).canonical_key() == target:
+            return True
+        stack.extend(node.get("children", ()))
+    return False
+
+
+def test_verify_skips_what_the_recursion_cannot_reach(capsys, monkeypatch):
+    # one more stuck polygon, two cuts below sigma2:2,2: the instances and
+    # the column that reach it are found at run time, with no list edited
+    target = HPolygon([(0, 2), (4, 0), (6, 0), (2, 2)])
+    assert target.interior_lattice_count() > 0
+    key = target.canonical_key()
+
+    def instance_reaches(a, b, genus, pairs):
+        specs = [f"sigma2:{a},{b}"]
+        specs += ["rect:%d,%d" % t["bidegree"] for t in surgery.quadric_rhs_terms(a, b)]
+        return pairs > 0 and any(_reaches(spec, pairs, key) for spec in specs)
+
+    stuck = [cell for cell in cli.CONJECTURE_INSTANCES if instance_reaches(*cell)]
+    column = {}
+    for spec in cli.MONOTONE_COLUMNS:
+        top = max_pairs(HPolygon.from_spec(spec))
+        column[spec] = next((s for s in range(top + 1) if _reaches(spec, s, key)), top + 1)
+    assert [cell for cell in stuck if cell[:2] == (2, 2)] == [(2, 2, 0, s) for s in (3, 4, 5)]
+    assert {(3, 0, 0, s) for s in (3, 4, 5)} <= set(stuck)
+    assert (column["sigma2:2,2"], column["rect:3,3"]) == (3, 3)
+
+    cuts = HPolygon.admissible_cuts
+    monkeypatch.setattr(
+        HPolygon, "admissible_cuts", lambda p: () if p.canonical_key() == key else cuts(p)
+    )
+    code, out, _ = run(
+        capsys, "verify", "--identity", "conj-quadric", "--identity", "monotone-s",
+        "--emit", "json",
+    )
+    assert code == 0
+    conjecture, monotone = json.loads(out)["reports"]
+    skipped = [(i["a"], i["b"], i["genus"], i["pairs"]) for i in conjecture["skipped"]]
+    assert skipped == stuck
+    assert conjecture["checked"] == len(cli.CONJECTURE_INSTANCES) - len(skipped)
+    assert monotone["checked"] == sum(column.values())
+
+
+def test_appendix_reports_only_a_stuck_cell_as_stuck(capsys, monkeypatch):
+    # any other InvariantError from a row is an error of the request, not a
+    # row the recursion cannot reach
+    row = reference_rows()[0]
+    polygon = HPolygon.from_spec(row.spec())
+    record = InvariantTable.record
+
+    def failing_record(self, shape, genus, pairs):
+        if (shape, genus, pairs) == (polygon, row.genus, row.pairs):
+            raise InvariantError("not a stuck cell")
+        return record(self, shape, genus, pairs)
+
+    monkeypatch.setattr(InvariantTable, "record", failing_record)
+    code, out, err = run(capsys, "appendix")
+    assert (code, out, err) == (2, "", "error: not a stuck cell\n")
+
+
 @pytest.mark.parametrize("argv", [("appendix",), ("verify", "--identity", "conj-quadric")])
 def test_a_request_builds_each_golden_polygon_once(capsys, monkeypatch, argv):
     if argv[0] == "appendix":
@@ -577,7 +645,27 @@ def test_verify_all_builds_one_table(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--suite", "all")
     assert code == 1
     assert counts["tables"] == 1
-    assert counts["computed"] <= 172
+    assert counts["computed"] <= 156
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("compute", "--polygon", "p2:6", "--pairs", "8"), ("verify", "--suite", "all")],
+    ids=["stuck-compute", "verify-all"],
+)
+def test_a_request_computes_each_key_at_most_once(capsys, monkeypatch, argv):
+    # a stuck key raises again from the table's memo instead of recomputing
+    # the chain below it, for the trace and for every later lookup
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    keys, compute = [], InvariantTable._compute
+
+    def recording_compute(self, polygon, genus, pairs):
+        keys.append(InvariantKey.make(polygon, genus, pairs))
+        return compute(self, polygon, genus, pairs)
+
+    monkeypatch.setattr(InvariantTable, "_compute", recording_compute)
+    run(capsys, *argv)
+    assert keys and len(keys) == len(set(keys))
 
 
 def test_verify_all_prints_appendix_then_identities(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from floordiagrams.invariants import (
     InvariantError,
     InvariantKey,
     InvariantTable,
+    StuckError,
     max_pairs,
 )
 from floordiagrams.laurent import LaurentPoly
@@ -89,14 +90,41 @@ def test_pair_step_searches_each_polygon_once(monkeypatch):
     table.descendant_value_set(rect, 5)
     table.recursion_trace(rect, 5)
     assert searched and len(searched) == len(set(searched))
-    # a stuck polygon is not memoized: it is searched and raises every time
+    # a stuck polygon is searched once too, and raises on every call
     errors = []
     for _ in range(2):
-        with pytest.raises(InvariantError) as err:
+        with pytest.raises(StuckError) as err:
             table.refined_descendant(HPolygon.rectangle(3, 3), 3)
         errors.append((str(err.value), searched[-1]))
     assert errors[0] == errors[1]
-    assert searched.count(errors[0][1]) == 2
+    assert searched.count(errors[0][1]) == 1
+
+
+def test_a_stuck_key_raises_again_without_computing_or_caching(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    table = InvariantTable(cache_path=str(path))
+
+    def cached_keys():
+        entries = map(json.loads, path.read_text().splitlines())
+        return [InvariantKey(tuple(map(tuple, e["polygon"])), e["genus"], e["pairs"]) for e in entries]
+
+    rect = HPolygon.rectangle(3, 3)
+    with pytest.raises(StuckError) as first:
+        table.refined_descendant(rect, 3)
+    assert isinstance(first.value, InvariantError)
+    # only the records that were computed reach the cache, none of the stuck keys
+    keys = cached_keys()
+    assert sorted(keys) == sorted(key for key, _ in table.items())
+    assert InvariantKey.make(rect, 0, 3) not in keys
+
+    def never_called(*args):
+        raise AssertionError("recomputed a stuck key")
+
+    monkeypatch.setattr(InvariantTable, "_compute", never_called)
+    with pytest.raises(StuckError) as again:
+        table.refined_descendant(rect, 3)
+    assert str(again.value) == str(first.value)
+    assert cached_keys() == keys
 
 
 def test_stuck_polygons_are_the_known_blockers(table):

@@ -57,6 +57,27 @@ def test_ab_pairs_report_names_each_metric_with_both_sides():
     assert rss.split()[-1] == "0/2"
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [(["--pairs", "0"], ["--pairs must be at least 1, not 0"]),
+     # the choices are the workloads that BENCHMARK.json declares
+     (["--workload", "bogus"], ["bogus", "warm-cache", "pair-columns", "plane-genus", "wide-ends"])],
+    ids=["no-pairs", "unknown-workload"],
+)
+def test_ab_pairs_refuses_bad_arguments_before_exporting(capsys, monkeypatch, argv, names):
+    ab = load_ab_pairs()
+
+    def never_called(*args):
+        raise AssertionError("exported the parent for a bad request")
+
+    monkeypatch.setattr(ab, "export", never_called)
+    with pytest.raises(SystemExit) as done:
+        ab.main(["HEAD", *argv])
+    assert done.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert all(name in err for name in names), err
+
+
 @pytest.fixture
 def walk_ab():
     """scripts/walk_ab.py, loaded as a module; the floordiagrams and
