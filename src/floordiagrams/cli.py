@@ -97,6 +97,8 @@ def _diagram_payload(dia, multiplicity, markings) -> dict:
 
 
 def run_compute(args) -> int:
+    if args.list_diagrams and args.emit == "csv":
+        raise ValueError("--list-diagrams has no CSV form: use --emit text or --emit json")
     polygon, label = _load_polygon(args)
     genus_span = _parse_span(args.genus, "--genus")
     pairs_span = _parse_span(args.pairs, "--pairs")

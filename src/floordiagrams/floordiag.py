@@ -315,7 +315,8 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, 
     the floors so far.  Each (unplaced, weight counts, label) is tallied once
     a step.  The t top ends take t of the h - f + L - labelled + u + T places
     above floor f, where T top ends are left and L is the final labelled
-    count: hi - K + 1 + j for the term e*K + j of a sum (K = 1: hi, or T = 0).
+    count: hi - K + 1 + j for the term e*K + j of a sum, at every K (j = 0
+    at K = 1).  Each state's sum is taken once per t, term by term.
 
     With close, f is h - 1 and the step also takes the last gap, which
     places the u elements left in u! ways, and the top floor, which takes
@@ -324,7 +325,9 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, 
     as need is lo, so the top floor's top-end factor C(L - labelled - n + T,
     T) is 1, and by flow conservation the weight left in flight is its slope
     plus its T top ends, so the last gap's and the top floor's checks pass
-    every state."""
+    every state.  The one fork on K is which terms those are: j = n - short
+    of a keyed run, or the whole sum at K = 1, where lo = hi or the top row
+    is one point and L itself gives the genus."""
     out, relabelled, sums = {}, {}, {}
     for (unplaced, placed, labelled, tops, sid), poly in states.items():
         rest, short = hi - labelled, need - labelled  # elevators: most to come, fewest now
@@ -332,11 +335,9 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, 
         # elevators to come, unplaced elements and the top ends left
         u = sum(c for _, c in unplaced)
         places = h - f + rest + u + tops
-        part = poly
-        if K > 1:  # the sum by t, each term times its top-end factor; closing, by j
-            rows, split = {0: poly}, {}
-            for k, c in poly.items() if close else ():
-                split.setdefault(k % K, {})[k // K] = c
+        rows, split = {0: poly}, {}  # the sum by t, each term times its top-end factor
+        for k, c in poly.items() if close and K > 1 else ():  # closing, the sum by j
+            split.setdefault(k % K, {})[k // K] = c
         # elevators not yet absorbed, by component (bottom ends have none); with
         # those to come, each joins at most two of the components and floors left
         held = {}
@@ -368,13 +369,6 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, 
                 # a floor leaves its component something crossing above
                 for t in range(min(tops, room - (not pending)) + 1):
                     flow = room - t
-                    if K == 1:
-                        top_ways = ways * comb(places, t)
-                    elif not close:
-                        top_ways, part = ways, rows.get(t)
-                        if part is None:
-                            part = rows[t] = {k: c * comb(places - K + 1 + k % K, t)
-                                              for k, c in poly.items()}
                     most = flow if flow < rest else rest
                     if close:  # the emissions' factors summed by count, once a step
                         by_n = sums.get((flow, labelled))
@@ -385,12 +379,16 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, 
                                     mul_add({0: 1}, mult, 1, by_n.setdefault(n, {}))
                         for n, mult in by_n.items():
                             into = out.setdefault(labelled + n, {})
-                            if K == 1:
-                                mul_add(poly, mult.items(), top_ways * factorial(u + n), into)
-                            elif n - short in split:  # the terms of L = labelled + n
+                            # the terms of L = labelled + n; at K = 1, L alone gives the genus
+                            terms = split.get(n - short) if K > 1 else poly
+                            if terms:
                                 scale = ways * comb(h - f + n + u + tops, t) * factorial(u + n)
-                                mul_add(split[n - short], mult.items(), scale, into)
+                                mul_add(terms, mult.items(), scale, into)
                         continue
+                    part = rows.get(t)
+                    if part is None:
+                        part = rows[t] = {k: c * comb(places - K + 1 + k % K, t)
+                                          for k, c in poly.items()}
                     for counts, n, mult in _emissions(flow, most, labelled, K):
                         if n >= short:
                             now = relabelled.get((left, counts, label)) if n else left
@@ -399,7 +397,7 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, 
                                 now = relabelled[left, counts, label] = _tally(left + emitted)
                             into = out.setdefault((now, waiting, labelled + n, tops - t, nid), {})
                             for x, d in mult:
-                                d *= top_ways
+                                d *= ways
                                 for e, c in part.items():
                                     into[e + x] = into.get(e + x, 0) + c * d
     return out
@@ -455,9 +453,10 @@ def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
 
     The genus enters through the prunes, as the number of labelled elements,
     bottom width + genus + h - 1, and through the places of the top ends,
-    which depend on the elevators to come.  One walk serves each run of
-    consecutive genera up to the interior count: with top ends and K genera
-    in the run, a term e*K + j of a sum belongs to the run's j-th genus.
+    which depend on the elevators to come.  One walk, on one path for every
+    K, serves each run of consecutive genera up to the interior count: with
+    top ends and K genera in the run, a term e*K + j of a sum belongs to the
+    run's j-th genus; without, K is 1 and the final labelled count gives it.
 
     A polygon whose rows narrow by two or more per floor on average is
     walked upside down, (x, y) -> (x, h - y): its many bottom ends, which

@@ -5,7 +5,7 @@ a surface carrying a (-2)-sphere S against counts on the surface where S has
 been smoothed away: classes d - 2E on a blow-up expand through classes
 d - k E', and summing a row of u's against a table of numbers is what the
 quadric expansion below does.  The folded transform along the sphere class
-itself lives in check_increase.
+itself lives in check_increase, which checks values a caller supplies.
 """
 
 from __future__ import annotations
@@ -97,6 +97,11 @@ def check_increase(values, sphere) -> dict:
     as 0.  The folded transform along the (-2)-class sphere S groups each
     class with its reflection partner: values[d] + 2 sum_{k>=1} (-1)^k
     values[d - kS].
+
+    It checks the values a caller supplies: no verify identity runs it, and
+    the engine does not confirm the inequality.  Fed the engine's own
+    rect:a,b Welschinger values (q = -1) along a + b = 4, 6 and 8, at s = 0
+    and at s = 1, with S = (1, -1), it reports 1, 1, 2, 2, 3 and 3 failures.
     """
     if not any(sphere):
         raise SurgeryError("sphere class must be nonzero")

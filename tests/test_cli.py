@@ -281,6 +281,22 @@ def test_compute_list_diagrams_evaluates_each_cell_once(capsys, tmp_path, monkey
     assert not path.exists()
 
 
+def test_compute_list_diagrams_refuses_csv_before_any_work(capsys, tmp_path, monkeypatch):
+    # CSV rows hold values only, so a listing would be dropped without a word
+    def refuse(*args):
+        raise AssertionError("a refused request built a polygon")
+
+    monkeypatch.setattr(cli, "_load_polygon", refuse)
+    cache = tmp_path / "cache.jsonl"
+    code, out, err = run(
+        capsys, "--cache", str(cache), "compute", "--polygon", "p2:3", "--genus", "0..1",
+        "--list-diagrams", "--emit", "csv",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --list-diagrams has no CSV form: use --emit text or --emit json\n"
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize(
     "spec", ["rect:1_0,2", "rect: 2,2", "rect:2,+2", "rect:\u0662,2", "rect:2,2 ", "p2:-3"]
 )

@@ -434,6 +434,36 @@ def test_one_walk_per_run_of_genera(spans):
     assert sum(map(bool, column.values())) == 2
 
 
+def test_a_joint_walk_keeps_only_the_terms_whose_count_is_in_reach(monkeypatch):
+    # after each floor below h - 1, a term e*K + j of a state's sum stays only
+    # while its final count lo + j can still be reached: labelled - lo <= j
+    # <= labelled - need, need being the least count of the floor just taken
+    events, gap_step, floor_step = [], floordiag._gap_step, floordiag._floor_step
+
+    def gap(states, slopes):
+        events.append(("gap", states))
+        return gap_step(states, slopes)
+
+    def floor(states, f, h, hi, need, slopes, K, close=False):
+        events.append(("floor", (hi - K + 1, need, K)))
+        return floor_step(states, f, h, hi, need, slopes, K, close)
+
+    monkeypatch.setattr(floordiag, "_gap_step", gap)
+    monkeypatch.setattr(floordiag, "_floor_step", floor)
+    refined_invariants(HPolygon.from_spec("rect:4,4"), range(10))
+    checked = 0
+    for (kind, window), (next_kind, states) in zip(events, events[1:]):
+        if kind == "floor" and next_kind == "gap":
+            lo, need, K = window
+            assert K == 10
+            for (_, _, labelled, _, _), terms in states.items():
+                assert terms
+                for k in terms:
+                    assert labelled - lo <= k % K <= labelled - need, (labelled, k)
+                    checked += 1
+    assert checked > 1000
+
+
 # sigma2:a,b with b > 0 narrows by two per floor and keeps a top row, so its
 # runs are walked upside down with top ends
 RUN_POLYGONS = (
