@@ -65,13 +65,15 @@ INDEPENDENCE_CASES = (
 def _parse_span(text: str, option: str) -> range:
     """Parse "3" or "0..5", the value of option, into an inclusive integer range."""
     lo, sep, hi = text.partition("..")
-    try:
-        start = int(lo)
-        stop = int(hi) if sep else start
-        if 0 <= start <= stop:
-            return range(start, stop + 1)
-    except ValueError:
-        pass
+    # ASCII digits only: int() would also take "1_0", " 2", "+2" and "٢"
+    if all(part.isascii() and part.isdigit() for part in (lo, hi if sep else lo)):
+        try:
+            start = int(lo)
+            stop = int(hi) if sep else start
+            if start <= stop:
+                return range(start, stop + 1)
+        except ValueError:  # past int()'s limit on digits
+            pass
     raise ValueError(f"bad {option} {text!r}: expected N or A..B with 0 <= A <= B")
 
 

@@ -283,113 +283,115 @@ def _slope_moves(polygon) -> list:
     return table
 
 
+def _subsets(items) -> list:
+    """(ways, weight, taken, left) for each sub-multiset of the counted
+    (weight, component) classes, taking a of each class's c in prod C(c, a)
+    ways; weight is its total, taken and left count the classes taken and
+    the rest, in the items' order."""
+    rows = [(1, 0, (), ())]
+    for kind, c in items:  # extended by each count a of the class in turn
+        rows = [(ways * comb(c, a), weight + a * kind[0], taken + ((kind, a),) if a else taken,
+                 left + ((kind, c - a),) if a < c else left)
+                for ways, weight, taken, left in rows for a in range(c + 1)]
+    return rows
+
+
 def _gap_step(states: dict, slopes: list) -> dict:
     """Places a of the c elements of each class in the gap, in (sum a)!
     prod C(c, a) ways, and drops a placement that leaves the next floor less
-    weight than its least slopes."""
-    out = {}
+    weight than its least slopes.  The step lists the placements of each
+    unplaced tuple once, heaviest first, so the first one dropped ends a
+    state's list, and merges each placed tuple with each placement once."""
+    out, rows, merges = {}, {}, {}
     for (unplaced, placed, labelled, tops, sid), poly in states.items():
         least = slopes[sid][0] - sum(w * c for (w, _), c in placed)
-        for picks in product(*(range(c + 1) for _, c in unplaced)):
-            ways, weight, left, now = factorial(sum(picks)), 0, [], dict(placed)
-            for (kind, c), a in zip(unplaced, picks):
-                if a:
-                    ways *= comb(c, a)
-                    weight += a * kind[0]
-                    now[kind] = now.get(kind, 0) + a
-                if a < c:
-                    left.append((kind, c - a))
-            if weight >= least:
-                key = (tuple(left), tuple(sorted(now.items())), labelled, tops, sid)
-                mul_add(poly, _ONE, ways, out.setdefault(key, {}))
+        picks = rows.get(unplaced)
+        if picks is None:
+            picks = rows[unplaced] = sorted(
+                ((weight, factorial(sum(a for _, a in added)) * ways, left, added)
+                 for ways, weight, added, left in _subsets(unplaced)), reverse=True)
+        for weight, ways, left, added in picks:
+            if weight < least:
+                break
+            now = merges.get((placed, added))
+            if now is None:
+                now = merges[placed, added] = _tally(placed + added)
+            into = out.setdefault((left, now, labelled, tops, sid), {})
+            for e, c in poly.items():
+                into[e] = into.get(e, 0) + c * ways
     return out
 
 
-def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, K: int,
-                close: bool = False) -> dict:
-    """Floor f < h takes a sub-multiset of the placed elements as its incoming
-    ends and elevators, one of the slope moves of its state, t top ends and
-    elevators whose weights carry the flow that is left.  A choice survives
-    when some count of labelled elements up to hi can finish it, and an
-    emission when it reaches need, the least that the lowest count asks of
-    the floors so far.  Each (unplaced, weight counts, label) is tallied once
-    a step.  The t top ends take t of the h - f + L - labelled + u + T places
-    above floor f, where T top ends are left and L is the final labelled
-    count: hi - K + 1 + j for the term e*K + j of a sum, at every K (j = 0
-    at K = 1).  Each state's sum is taken once per t, term by term.
+def _floor_picks(placed: tuple, f: int) -> list:
+    """(ways, inflow, merged, taken, label, waiting) for each sub-multiset of
+    the placed elements that floor f can take in: the flow it brings, the
+    components it absorbs and the elevators it takes from them, the label
+    of the one component that the floor and those become (their lowest
+    floor), and the placed elements left waiting, renamed so."""
+    rows = []
+    for ways, inflow, picked, waiting in _subsets(placed):
+        merged, taken = set(), 0
+        for (_, comp), b in picked:
+            if comp:
+                merged.add(comp)
+                taken += b
+        label = min(merged, default=f)
+        if len(merged) > 1:
+            waiting = _tally(waiting, merged, label)
+        rows.append((ways, inflow, tuple(merged), taken, label, waiting))
+    return rows
 
-    With close, f is h - 1 and the step also takes the last gap, which
-    places the u elements left in u! ways, and the top floor, which takes
-    them all in one: it returns {labelled: sum}, no states, in plain
-    exponents.  An emission of n keeps only the terms of L = labelled + n,
-    as need is lo, so the top floor's top-end factor C(L - labelled - n + T,
-    T) is 1, and by flow conservation the weight left in flight is its slope
-    plus its T top ends, so the last gap's and the top floor's checks pass
-    every state.  The one fork on K is which terms those are: j = n - short
-    of a keyed run, or the whole sum at K = 1, where lo = hi or the top row
-    is one point and L itself gives the genus."""
-    out, relabelled, sums = {}, {}, {}
+
+def _held(unplaced: tuple, placed: tuple) -> dict:
+    """Elevators not yet absorbed, counted by component; bottom ends have none."""
+    held = {}
+    for (_, comp), c in unplaced + placed:
+        if comp:
+            held[comp] = held.get(comp, 0) + c
+    return held
+
+
+def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, K: int) -> dict:
+    """Floor f < h - 1 takes a sub-multiset of the placed elements as its
+    incoming ends and elevators, one of the slope moves of its state, t top
+    ends and elevators whose weights carry the flow that is left.  A choice
+    survives when some count of labelled elements up to hi can finish it,
+    and an emission when it reaches need, the least that the lowest count
+    asks of the floors so far.  The step lists the choices of each placed
+    tuple once (_floor_picks) and tallies each (unplaced, weight counts,
+    label) once.  The t top ends take t of the h - f + L - labelled + u + T
+    places above floor f, where T top ends are left and L is the final
+    labelled count: hi - K + 1 + j for the term e*K + j of a sum, at every K
+    (j = 0 at K = 1).  Each state's sum is taken once per t, term by term."""
+    out, relabelled, table = {}, {}, {}
     for (unplaced, placed, labelled, tops, sid), poly in states.items():
         rest, short = hi - labelled, need - labelled  # elevators: most to come, fewest now
         # the places of the t top ends above floor f if L = hi: floors,
         # elevators to come, unplaced elements and the top ends left
-        u = sum(c for _, c in unplaced)
-        places = h - f + rest + u + tops
-        rows, split = {0: poly}, {}  # the sum by t, each term times its top-end factor
-        for k, c in poly.items() if close and K > 1 else ():  # closing, the sum by j
-            split.setdefault(k % K, {})[k // K] = c
-        # elevators not yet absorbed, by component (bottom ends have none); with
-        # those to come, each joins at most two of the components and floors left
-        held = {}
-        for (_, comp), c in unplaced + placed:
-            if comp:
-                held[comp] = held.get(comp, 0) + c
+        places = h - f + rest + sum(c for _, c in unplaced) + tops
+        rows = {0: poly}  # the sum by t, each term times its top-end factor
+        # with the elevators to come, each one held joins at most two of the
+        # components and floors left
+        held = _held(unplaced, placed)
         spare = rest + sum(held.values()) - len(held) - h + f
-        for picks in product(*(range(c + 1) for _, c in placed)):
-            ways, inflow, merged, taken, waiting = 1, 0, set(), 0, []
-            for ((w, comp), c), b in zip(placed, picks):
-                if b:
-                    ways *= comb(c, b)
-                    inflow += b * w
-                    if comp:
-                        merged.add(comp)
-                        taken += b
-                if b < c:
-                    waiting.append(((w, comp), c - b))
+        picks = table.get(placed)
+        if picks is None:
+            picks = table[placed] = _floor_picks(placed, f)
+        for ways, inflow, merged, taken, label, waiting in picks:
             if spare - taken + len(merged) < 0:
                 continue
-            pending = sum(held[comp] for comp in merged) > taken
-            # the floor and the components it absorbs become one, named by its lowest floor
-            label = min(merged, default=f)
-            left, waiting = unplaced, tuple(waiting)
-            if len(merged) > 1 and not close:
-                left, waiting = _tally(left, merged, label), _tally(waiting, merged, label)
+            pending = sum(map(held.__getitem__, merged)) > taken
+            left = _tally(unplaced, merged, label) if len(merged) > 1 else unplaced
             for slope, nid in slopes[sid][1]:
                 room = inflow - slope  # the flow plus the top ends
                 # a floor leaves its component something crossing above
                 for t in range(min(tops, room - (not pending)) + 1):
                     flow = room - t
-                    most = flow if flow < rest else rest
-                    if close:  # the emissions' factors summed by count, once a step
-                        by_n = sums.get((flow, labelled))
-                        if by_n is None:
-                            by_n = sums[flow, labelled] = {}
-                            for _, n, mult in _emissions(flow, most, labelled):
-                                if n >= short:
-                                    mul_add({0: 1}, mult, 1, by_n.setdefault(n, {}))
-                        for n, mult in by_n.items():
-                            into = out.setdefault(labelled + n, {})
-                            # the terms of L = labelled + n; at K = 1, L alone gives the genus
-                            terms = split.get(n - short) if K > 1 else poly
-                            if terms:
-                                scale = ways * comb(h - f + n + u + tops, t) * factorial(u + n)
-                                mul_add(terms, mult.items(), scale, into)
-                        continue
                     part = rows.get(t)
                     if part is None:
                         part = rows[t] = {k: c * comb(places - K + 1 + k % K, t)
                                           for k, c in poly.items()}
-                    for counts, n, mult in _emissions(flow, most, labelled, K):
+                    for counts, n, mult in _emissions(flow, min(flow, rest), labelled, K):
                         if n >= short:
                             now = relabelled.get((left, counts, label)) if n else left
                             if now is None:
@@ -403,6 +405,64 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, 
     return out
 
 
+def _close_step(states: dict, h: int, hi: int, need: int, slopes: list, K: int) -> dict:
+    """Floor h - 1 as _floor_step takes it, then the last gap, which places
+    the u elements left in u! ways, and the top floor, which takes them all
+    in one: returns {labelled: sum}, no states, in plain exponents.  need is
+    lo, so an emission of n keeps only the terms of L = labelled + n, and the
+    top floor's top-end factor C(L - labelled - n + T, T) is 1; by flow
+    conservation the weight left in flight is the top floor's slope plus its
+    T top ends, so the last gap's and the top floor's checks pass every state.
+
+    A choice of floor h - 1 enters the closing factor only through its
+    inflow and whether it leaves its component pending.  For each (inflow,
+    pending, labelled, T, slope id, u) the step sums the emissions' factors
+    times C(1 + n + u + T, t) over the slope moves and t once, by emission
+    count n; a state sums those of its choices, times their ways, by n, and
+    adds its sum times each factor and (u + n)! into the sum of L, one
+    product per n.  The one fork on K is which terms it multiplies: j = n -
+    short of a keyed run, or the whole sum at K = 1, where lo = hi or the
+    top row is one point and L itself gives the genus."""
+    out, table, tails = {}, {}, {}
+    for (unplaced, placed, labelled, tops, sid), poly in states.items():
+        rest, short = hi - labelled, need - labelled
+        u = sum(c for _, c in unplaced)
+        held = _held(unplaced, placed)
+        spare = rest + sum(held.values()) - len(held) - 1
+        picks = table.get(placed)
+        if picks is None:
+            picks = table[placed] = _floor_picks(placed, h - 1)
+        factors = {}  # the closing factor by emission count
+        for ways, inflow, merged, taken, _, _ in picks:
+            if spare - taken + len(merged) < 0:
+                continue
+            pending = sum(map(held.__getitem__, merged)) > taken
+            tail = tails.get((inflow, pending, labelled, tops, sid, u))
+            if tail is None:
+                tail = {}
+                for slope, _ in slopes[sid][1]:
+                    room = inflow - slope
+                    for t in range(min(tops, room - (not pending)) + 1):
+                        for _, n, mult in _emissions(room - t, min(room - t, rest), labelled):
+                            if n >= short:
+                                scale = comb(1 + n + u + tops, t)
+                                mul_add({0: 1}, mult, scale, tail.setdefault(n, {}))
+                tails[inflow, pending, labelled, tops, sid, u] = tail
+            for n, mult in tail.items():
+                factor = factors.setdefault(n, {})
+                for e, c in mult.items():
+                    factor[e] = factor.get(e, 0) + c * ways
+        split = {}  # a keyed run's terms by j
+        for k, c in poly.items() if K > 1 else ():
+            split.setdefault(k % K, {})[k // K] = c
+        for n, factor in factors.items():
+            into = out.setdefault(labelled + n, {})
+            terms = split.get(n - short) if K > 1 else poly
+            if terms:
+                mul_add(terms, factor.items(), factorial(u + n), into)
+    return out
+
+
 def _walk(polygon, widths: tuple, lo: int, hi: int) -> dict:
     """{labelled: value} for the diagrams with lo..hi bottom ends and elevators
     in all, by the walk of refined_invariants; widths is the floor profile."""
@@ -413,15 +473,16 @@ def _walk(polygon, widths: tuple, lo: int, hi: int) -> dict:
     slopes = _slope_moves(polygon)
     unplaced = (((1, 0), widths[0]),) if widths[0] else ()
     states = {(unplaced, (), widths[0], widths[-1], 0): dict.fromkeys(range(K), 1)}
-    for f in range(1, h):
+    for f in range(1, h - 1):
         # an elevator from floor k crosses above it, where no assignment of
         # the slopes is wider than the polygon's row k, so the floors
         # f+1..h-1 emit at most sum(widths[f + 1 : h]) elevators
         need = lo - sum(widths[f + 1 : h])
-        states = _floor_step(_gap_step(states, slopes), f, h, hi, need, slopes, K, f == h - 1)
-        if K > 1 and f < h - 1:  # the terms whose L the labelled count key[2] can reach
+        states = _floor_step(_gap_step(states, slopes), f, h, hi, need, slopes, K)
+        if K > 1:  # the terms whose L the labelled count key[2] can reach
             states = {key: kept for key, poly in states.items() if (kept := {
                 k: c for k, c in poly.items() if key[2] - lo <= k % K <= key[2] - need})}
+    states = _close_step(_gap_step(states, slopes), h, hi, lo, slopes, K)
     for labelled, poly in states.items():  # {labelled: sum} after the closing step
         scale = factorial(labelled)
         for e, c in poly.items():
@@ -446,10 +507,12 @@ def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
     divergence sequence shares the walk.  A state's partial sum is (bottom
     width + elevators)! times too large until the one division at the end.
     Top ends never enter a state: the floor that emits them counts their
-    places above it.  A floor step tallies each distinct emission once.
-    Floor h - 1 closes the walk: it builds no states, but adds each choice,
-    its emissions summed by elevator count, into the sum of its labelled
-    count, as the last gap and the top floor add only a factorial.
+    places above it.  Each step lists the choices of each shape of state
+    once, and a floor step tallies each distinct emission once.  Floor h - 1
+    closes the walk (_close_step): it builds no states, but sums each
+    state's closing factors by elevator count and multiplies its sum once
+    per count into the sum of its labelled count, as the last gap and the
+    top floor add only a factorial.
 
     The genus enters through the prunes, as the number of labelled elements,
     bottom width + genus + h - 1, and through the places of the top ends,

@@ -55,15 +55,26 @@ def test_compute_out_of_memory_exits_2(capsys, monkeypatch):
 
 def test_compute_out_of_memory_in_a_joint_walk_exits_2(capsys, monkeypatch):
     # a run of genera on a polygon with top ends keys its terms by genus too
-    step = floordiag._floor_step
+    step = floordiag._close_step
 
     def exhausted(*args):
-        if args[6] > 1:  # K, the genera of the run
+        if args[5] > 1:  # K, the genera of the run
             raise MemoryError
         return step(*args)
 
-    monkeypatch.setattr(floordiag, "_floor_step", exhausted)
+    monkeypatch.setattr(floordiag, "_close_step", exhausted)
     code, out, err = run(capsys, "compute", "--polygon", "rect:4,3", "--genus", "0..2")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_compute_out_of_memory_in_the_closing_step_exits_2(capsys, monkeypatch):
+    # rect:2,2 has two floors: its walk's one floor step is the closing one
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(floordiag, "_close_step", exhausted)
+    monkeypatch.setattr(floordiag, "_floor_step", None)
+    code, out, err = run(capsys, "compute", "--polygon", "rect:2,2")
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
@@ -304,6 +315,18 @@ def test_compute_polygon_spec_takes_only_ascii_digits(capsys, spec):
     # int() would read each of these as a number
     code, out, err = run(capsys, "compute", "--polygon", spec)
     assert (code, out, err) == (2, "", f"error: bad polygon spec {spec!r}\n")
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [("--genus", "1_0"), ("--genus", " 2"), ("--genus", "+1"), ("--genus", "\u0662"),
+     ("--genus", "0..\u0663"), ("--genus", "1 "), ("--pairs", "0_0"), ("--pairs", "0..+1")],
+)
+def test_compute_spans_take_only_ascii_digits(capsys, option, text):
+    # int() would read each of these as a number: "1_0" as genus 10
+    code, out, err = run(capsys, "compute", "--polygon", "rect:3,3", option, text)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad {option} {text!r}: expected N or A..B with 0 <= A <= B\n"
 
 
 def test_compute_polygon_file(capsys, tmp_path):

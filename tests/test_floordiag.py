@@ -444,9 +444,9 @@ def test_a_joint_walk_keeps_only_the_terms_whose_count_is_in_reach(monkeypatch):
         events.append(("gap", states))
         return gap_step(states, slopes)
 
-    def floor(states, f, h, hi, need, slopes, K, close=False):
+    def floor(states, f, h, hi, need, slopes, K):
         events.append(("floor", (hi - K + 1, need, K)))
-        return floor_step(states, f, h, hi, need, slopes, K, close)
+        return floor_step(states, f, h, hi, need, slopes, K)
 
     monkeypatch.setattr(floordiag, "_gap_step", gap)
     monkeypatch.setattr(floordiag, "_floor_step", floor)
@@ -462,6 +462,38 @@ def test_a_joint_walk_keeps_only_the_terms_whose_count_is_in_reach(monkeypatch):
                     assert labelled - lo <= k % K <= labelled - need, (labelled, k)
                     checked += 1
     assert checked > 1000
+
+
+@pytest.mark.parametrize("spec, enumerations", [("rect:4,4", 145), ("p2:6", 292)])
+def test_each_walk_step_enumerates_each_shape_once(spec, enumerations, monkeypatch):
+    # a gap step lists the placements of each distinct unplaced tuple once,
+    # and a floor or closing step the choices of each distinct placed tuple,
+    # however many states share it: once per state would be 453 and 609
+    made, steps, subsets = [0], [], floordiag._subsets
+
+    def counted(items):
+        made[0] += 1
+        return subsets(items)
+
+    def watch(name, shape):
+        step = getattr(floordiag, name)
+
+        def watched(states, *args):
+            before = made[0]
+            out = step(states, *args)
+            steps.append((made[0] - before, len({key[shape] for key in states})))
+            return out
+
+        monkeypatch.setattr(floordiag, name, watched)
+
+    monkeypatch.setattr(floordiag, "_subsets", counted)
+    watch("_gap_step", 0)
+    watch("_floor_step", 1)
+    watch("_close_step", 1)
+    refined_invariants(HPolygon.from_spec(spec), (0,))
+    assert len(steps) == 2 * (HPolygon.from_spec(spec).height - 1)
+    assert [made for made, _ in steps] == [shapes for _, shapes in steps]
+    assert sum(made for made, _ in steps) == enumerations
 
 
 # sigma2:a,b with b > 0 narrows by two per floor and keeps a top row, so its
