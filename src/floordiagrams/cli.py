@@ -7,7 +7,8 @@ clears the on-disk JSONL store.
 
 Exit codes are a stable contract: 0 success / all checks pass, 1 a check ran
 and disagreed, 2 usage error (bad spec, inadmissible request, a value the
-recursion cannot reach, or a request too large for the memory at hand).
+recursion cannot reach, or a request too large for the memory or the stack
+at hand).
 """
 
 from __future__ import annotations
@@ -435,6 +436,10 @@ def main(argv=None) -> int:
         # request's frames: an allocation while they hold the memory (the
         # handler's print, or the tuple of another clause) can spin for minutes
         pass
+    except RecursionError:  # the pair recursion takes one level per pair
+        print(f"error: request nests deeper than the stack limit of "
+              f"{sys.getrecursionlimit()} calls", file=sys.stderr)
+        return 2
     except InvariantError as err:
         print(f"error: {err}", file=sys.stderr)
         if err.trace is not None:

@@ -28,8 +28,7 @@ from .laurent import LaurentPoly, mul_add, quantum_square
 from .polygon import HPolygon
 
 # tallest polygon accepted: not for the transfer walk (README times it), but
-# enumerate_diagrams builds every diagram, 2.3 times more per row of rect:2,h,
-# and past about 300 rows its marking walk overflows the stack.
+# enumerate_diagrams builds every diagram, 2.3 times more per row of rect:2,h.
 MAX_HEIGHT = 64
 
 
@@ -97,38 +96,36 @@ class FloorDiagram:
         extension is the floors in order with every other element in one gap
         of its range; gap k lies just above floor k, for k = 0..h.  The range
         is i..j-1 for an elevator (i, j), 0..f-1 for a bottom end and f..h for
-        a top end at floor f.  A walk up the gaps, memoized on the gap and the
-        waiting elements counted by last gap, places one waiting element or
-        steps past the next floor once none must go before it.
+        a top end at floor f.  A marking forgets the order of identical
+        elements, so a loop up the gaps counts the ways to reach each tally
+        of what is left of the kinds open there: the bottom ends of one
+        floor, the top ends of one floor, identical elevators.  Gap k takes a
+        of each open kind, all that is left of a kind whose range ends at k,
+        in (sum a)!/prod a! orders.
         """
         h = self.floors
-        # opens[k][m]: elements whose range is gaps k..m
-        opens = [[0] * (h + 1) for _ in range(h + 1)]
-        for f, count in enumerate(self.bottom_ends):
-            opens[0][f] += count
-        for f, count in enumerate(self.top_ends, start=1):
-            opens[f][h] += count
-        for i, j, _ in self.elevators:
-            opens[i][j - 1] += 1
-
-        @cache
-        def walk(k: int, waiting: tuple[int, ...]) -> int:
-            if k == h and not any(waiting):
-                return 1
-            total = 0
-            for m, c in enumerate(waiting):
-                if c:
-                    total += c * walk(k, waiting[:m] + (c - 1,) + waiting[m + 1 :])
-            if k < h and not waiting[k]:
-                total += walk(k + 1, tuple(a + b for a, b in zip(waiting, opens[k + 1])))
-            return total
-
-        count = walk(0, tuple(opens[0]))
-        q, r = divmod(count, self.automorphism_size())
-        if r:
-            raise DiagramError(f"{count} linear extensions are not a multiple "
-                               f"of the {self.automorphism_size()} automorphisms")
-        return q
+        kinds = sorted(  # (first gap, last gap, count) of each kind
+            [(0, f - 1, c) for f, c in enumerate(self.bottom_ends, start=1) if c]
+            + [(f, h, c) for f, c in enumerate(self.top_ends, start=1) if c]
+            + [(i, j - 1, c) for (i, j, _), c in Counter(self.elevators).items()])
+        states = {tuple(c for first, _, c in kinds if first == 0): 1}
+        for k in range(h + 1):
+            lasts = [last for first, last, _ in kinds if first <= k <= last]
+            opening = tuple(c for first, _, c in kinds if first == k + 1)
+            out = {}
+            for left, ways in states.items():
+                rows = [((), 0, ways)]  # what is left after gap k, placed in it, ways
+                for last, c in zip(lasts, left):
+                    if last == k:
+                        rows = [(rest, n + c, w * comb(n + c, c)) for rest, n, w in rows]
+                    else:
+                        rows = [(rest + (c - a,), n + a, w * comb(n + a, a))
+                                for rest, n, w in rows for a in range(c + 1)]
+                for rest, _, w in rows:
+                    rest += opening
+                    out[rest] = out.get(rest, 0) + w
+            states = out
+        return states[()]  # every range ends by gap h
 
 
 def _outgoing_combinations(total: int, source: int, top: int, max_count: int, least=(0, 0)):

@@ -220,32 +220,36 @@ class InvariantTable:
 
     # -- computation ---------------------------------------------------------
 
-    def _pair_step(self, polygon) -> tuple:
-        """The (corner, cut polygon) options for removing one pair from polygon.
+    def _children(self, polygon, every: bool = False):
+        """The (corner, polygon) children of a pair-recursion node, each one
+        pair lower: the polygon itself with corner None, then its cut at the
+        first admissible corner, or with every at each one.
 
-        Empty when no corner admits the cut and the polygon has no interior
-        lattice points: d - 2E then has negative arithmetic genus, so the
-        correction term is an empty count.  Raises StuckError when the class is
-        nonempty.  Each polygon is searched once per table, stuck or not.
+        No cut follows when no corner admits one and the polygon has no
+        interior lattice points: d - 2E then has negative arithmetic genus,
+        so the correction term is an empty count.  Raises StuckError when the
+        class is nonempty.  The search runs once per table and polygon, and
+        only after the first child is read, so its record comes first.
         """
+        yield None, polygon
         options = self._cuts.get(polygon)
         if options is None:
             options = self._cuts[polygon] = polygon.admissible_cuts()
         if not options and polygon.interior_lattice_count() > 0:
             raise _stuck_error(polygon)
-        return options
+        yield from options if every else options[:1]
 
     def _compute(self, polygon, genus: int, pairs: int) -> InvariantRecord:
         if pairs == 0:
             return InvariantRecord(_direct_invariant(polygon, genus), False)
-        sub_full = self.record(polygon, 0, pairs - 1)
-        value = sub_full.value
-        extrapolated = not polygon.has_small_del_pezzo_fan() or sub_full.extrapolated
-        options = self._pair_step(polygon)
-        if options:
-            sub_cut = self.record(options[0][1], 0, pairs - 1)
-            value = value - 2 * sub_cut.value
-            extrapolated = extrapolated or sub_cut.extrapolated
+        children = self._children(polygon)
+        full = self.record(next(children)[1], 0, pairs - 1)
+        value = full.value
+        extrapolated = not polygon.has_small_del_pezzo_fan() or full.extrapolated
+        for _, cut in children:
+            sub = self.record(cut, 0, pairs - 1)
+            value = value - 2 * sub.value
+            extrapolated = extrapolated or sub.extrapolated
         return InvariantRecord(value, extrapolated)
 
     def descendant_value_set(self, polygon, pairs: int) -> tuple[LaurentPoly, ...]:
@@ -265,17 +269,11 @@ class InvariantTable:
             if s == 0:
                 out = (self.refined_invariant(poly, 0),)
             else:
-                base = sweep(poly, s - 1)
-                options = self._pair_step(poly)
-                if not options:
-                    out = base
-                else:
-                    values = set()
-                    for _, cut in options:
-                        for v_full in base:
-                            for v_cut in sweep(cut, s - 1):
-                                values.add(v_full - 2 * v_cut)
-                    out = tuple(sorted(values, key=lambda p: tuple(p.to_coeff_dict().items())))
+                children = self._children(poly, every=True)
+                base = sweep(next(children)[1], s - 1)
+                values = {v_full - 2 * v_cut for _, cut in children
+                          for v_full in base for v_cut in sweep(cut, s - 1)}
+                out = tuple(sorted(values, key=lambda p: tuple(p.to_coeff_dict().items()))) or base
             memo[key] = out
             return out
 
@@ -311,15 +309,12 @@ class InvariantTable:
         if pairs == 0:
             return node
         try:
-            options = self._pair_step(polygon)
+            children = list(self._children(polygon))
         except StuckError:
             return node
-        node["corner"] = None
-        node["children"] = [self.recursion_trace(polygon, pairs - 1, visited)]
-        if options:
-            corner, cut = options[0]
-            node["corner"] = list(corner)
-            node["children"].append(self.recursion_trace(cut, pairs - 1, visited))
+        node["corner"] = children[-1][0] and list(children[-1][0])
+        node["children"] = [self.recursion_trace(child, pairs - 1, visited)
+                            for _, child in children]
         return node
 
     # -- cache ---------------------------------------------------------------

@@ -115,6 +115,17 @@ def test_compute_huge_pairs_range_is_refused_at_once(capsys):
     assert err.startswith("error: pairs = 1000000000000 exceeds half the point count")
 
 
+def test_compute_pairs_deeper_than_the_stack_exit_2(capsys):
+    # one floor 2000 wide admits 2000 pairs, each a level of the recursion
+    code, out, err = run(capsys, "compute", "--polygon", "rect:2000,1", "--pairs", "1500")
+    assert (code, out) == (2, "")
+    limit = sys.getrecursionlimit()
+    assert err == f"error: request nests deeper than the stack limit of {limit} calls\n"
+    # a range fills the column from below, one level at a time
+    code, out, _ = run(capsys, "compute", "--polygon", "rect:2000,1", "--pairs", "0..1500")
+    assert (code, out.splitlines()[-1]) == (0, "rect:2000,1 g=0 s=1500: 1")
+
+
 WALKS = [
     # rows that narrow by two or more per floor are walked upside down
     ("sigma2:3,3", "0", [(3, 5, 7, 9)]),
@@ -264,6 +275,26 @@ def test_compute_list_diagrams(capsys):
     )
     payload = json.loads(out)
     assert len(payload["results"][0]["diagrams"]) == 3
+
+
+@pytest.mark.parametrize("width", [250, 1000, 10**30])
+def test_compute_lists_a_wide_polygon_of_one_floor(capsys, tmp_path, width):
+    # the rectangles by name, the widest as a triangle from a file; its
+    # one diagram's marking count loops over the two gaps of the floor
+    if width < 10**30:
+        label, where = f"rect:{width},1", ("--polygon", f"rect:{width},1")
+        top = width
+    else:
+        label = tmp_path / "triangle.json"
+        label.write_text(json.dumps({"vertices": [[0, 0], [width, 0], [0, 1]]}))
+        where, top = ("--polygon-file", str(label)), 0
+    code, out, err = run(capsys, "compute", *where, "--list-diagrams")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"{label} g=0 s=0: 1",
+        f"  elevators=[] bottom=[{width}] top=[{top}] div=[{width - top}] multiplicity=1 "
+        "markings=1 orderings=1",
+    ]
 
 
 def test_compute_list_diagrams_evaluates_each_cell_once(capsys, tmp_path, monkeypatch):
@@ -790,6 +821,31 @@ def test_verify_reports_a_failing_identity(capsys, monkeypatch):
     assert len(lines) == 1 + 169
     failure = surgery.check_u_inversion()["failures"][-1]
     assert list(failure) == ["m", "n", "got", "want"]
+
+
+def test_the_corner_sweep_sees_every_corner(capsys, monkeypatch):
+    # give one independence case a second cut whose value differs from the
+    # first's: the polygon itself, one pair lower
+    spec, _ = cli.INDEPENDENCE_CASES[0]
+    shape = HPolygon.from_spec(spec)
+    want = InvariantTable().record(shape, 0, 1)
+    cuts = HPolygon.admissible_cuts
+
+    def two_cuts(polygon):
+        found = cuts(polygon)
+        if polygon.canonical_key() == shape.canonical_key():
+            return found + ((found[0][0], polygon),)
+        return found
+
+    monkeypatch.setattr(HPolygon, "admissible_cuts", two_cuts)
+    table = InvariantTable()
+    assert len(table.descendant_value_set(shape, 1)) == 2
+    # the recursion still cuts at the first corner only
+    assert table.record(shape, 0, 1) == want
+    code, out, _ = run(capsys, "verify", "--identity", "cut-independence", "--emit", "json")
+    assert code == 1
+    (report,) = json.loads(out)["reports"]
+    assert report["failures"] and {f["polygon"] for f in report["failures"]} == {spec}
 
 
 def test_cache_cli_flow(capsys, tmp_path):

@@ -130,6 +130,12 @@ def test_marking_count_matches_brute_force_on_random_diagrams(dia):
     assert dia.marking_count() == brute_force_markings(dia)
 
 
+def test_marking_count_of_a_wide_floor_is_one_at_once():
+    # one floor has two gaps, whatever the number of ends waiting in them
+    assert FloorDiagram(1, (), (10**6,), (10**6,)).marking_count() == 1
+    assert FloorDiagram(1, (), (10**30,), (0,)).marking_count() == 1
+
+
 def test_divergence_sequences():
     # constant boundary slopes: a single forced assignment
     assert divergence_sequences(HPolygon.rectangle(2, 2)) == (((0, 0), 1),)

@@ -53,6 +53,50 @@ def test_process_wide_memos_are_pinned():
     assert found == {"cli.build_parser", "floordiag._choices", "floordiag._emissions"}
 
 
+def _self_recursive(node, prefix: str, method: bool = False):
+    """Qualified names of the functions in node's body, nested ones too, that
+    call their own name, or self.<name> in a class body."""
+    for child in node.body:
+        if isinstance(child, ast.ClassDef):
+            yield from _self_recursive(child, f"{prefix}{child.name}.", method=True)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(child):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if (isinstance(func, ast.Name) and func.id == child.name) or (
+                    method and isinstance(func, ast.Attribute) and func.attr == child.name
+                    and isinstance(func.value, ast.Name) and func.value.id == "self"
+                ):
+                    yield prefix + child.name
+                    break
+            yield from _self_recursive(child, f"{prefix}{child.name}.")
+
+
+def test_self_recursive_functions_are_pinned():
+    # each level of a recursion takes Python stack frames, so one whose depth
+    # follows the input can pass the interpreter's limit; each is listed with
+    # the bound on its depth, and adding one is a choice this list has to
+    # record.  Mutual recursion is not seen here: InvariantTable.record and
+    # _compute call each other once per pair, past the limit on a one-floor
+    # polygon wide enough for --pairs 1000, which the CLI refuses with exit 2
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        found.update(_self_recursive(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}."))
+    assert found == {
+        # elevators out of one floor, at most the genus + height - 1 of a diagram
+        "floordiag._outgoing_combinations",
+        # distinct weights of the elevators still to come out of one floor
+        "floordiag._emissions",
+        # one level per floor: height <= MAX_HEIGHT
+        "floordiag.divergence_sequences.assign",
+        "floordiag.enumerate_diagrams.extend",
+        # one level per pair, at most max_pairs
+        "invariants.InvariantTable.descendant_value_set.sweep",
+        "invariants.InvariantTable.recursion_trace",
+    }
+
+
 def _module_level_names(tree, imports: bool = True) -> set:
     """Names that a module's top-level statements define, and with imports
     the names they import."""
