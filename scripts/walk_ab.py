@@ -11,7 +11,9 @@ two trees may split the same genera into different walks.  It then exports
 the committed files of PARENT with `git archive`, as scripts/ab_pairs.py
 does, loads both trees' packages in this one process and runs every distinct
 recorded call on both, interleaved, keeping each side's best CPU time of the
-repeats.  The values must be equal.
+repeats.  Before each timed run it clears every memo of that side's floordiag
+(each function with a cache_clear), so the ratio compares cold walks, as a
+one-shot CLI process makes them.  The values must be equal.
 It prints each workload's cells, the summed best times and their ratio, and
 exits 1 if any value differs.
 """
@@ -90,8 +92,9 @@ def record_calls(engine, requests, populate, workdir: Path) -> list:
 def time_cells(engines: dict, cells, repeats: int):
     """({side: {cell: best CPU seconds}}, cells whose values differ between
     the sides): every cell runs on every side in turn, repeats times, the
-    sides' order alternating.  The garbage collector is off meanwhile, as in
-    timeit: a collection would bill one side for the garbage of both."""
+    sides' order alternating, each run from cold memos.  The garbage
+    collector is off meanwhile, as in timeit: a collection would bill one
+    side for the garbage of both."""
     best = {side: {} for side in engines}
     mismatched = []
     gc.collect()
@@ -104,6 +107,9 @@ def time_cells(engines: dict, cells, repeats: int):
                 for side in list(engines)[:: 1 if rep % 2 == 0 else -1]:
                     engine = engines[side]
                     polygon = engine.polygon.HPolygon(vertices)
+                    for memo in vars(engine.floordiag).values():
+                        if hasattr(memo, "cache_clear"):
+                            memo.cache_clear()
                     start = process_time()
                     value = engine.floordiag.refined_invariants(polygon, genera)
                     spent = process_time() - start

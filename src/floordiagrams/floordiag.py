@@ -262,12 +262,12 @@ def _tally(items, merged=(), label=0) -> tuple:
     return tuple(sorted(out.items()))
 
 
-def _slope_moves(polygon) -> list:
+@cache
+def _slope_moves(end_slopes: tuple) -> tuple:
     """The walk's slope-move table: entry i holds, for the i-th multiset of
-    slopes still to assign (0 the polygon's), its least left plus least right
-    slope and (a + b, next id) for each distinct left a and right b."""
-    order, table = [polygon.end_slopes()], []
-    ids = {order[0]: 0}
+    slopes still to assign (0 the end slopes'), its least left plus least
+    right slope and (a + b, next id) for each distinct left a and right b."""
+    order, table, ids = [end_slopes], [], {end_slopes: 0}
     for lefts, rights in order:  # grows as new multisets turn up
         moves = []
         for (a, lrest), (b, rrest) in product(_choices(lefts), _choices(rights)):
@@ -277,7 +277,7 @@ def _slope_moves(polygon) -> list:
                 order.append(rest)
             moves.append((a + b, ids[rest]))
         table.append((min(lefts) + min(rights) if lefts else 0, tuple(moves)))
-    return table
+    return tuple(table)
 
 
 def _subsets(items) -> list:
@@ -293,38 +293,42 @@ def _subsets(items) -> list:
     return rows
 
 
-def _gap_step(states: dict, slopes: list) -> dict:
-    """Places a of the c elements of each class in the gap, in (sum a)!
-    prod C(c, a) ways, and drops a placement that leaves the next floor less
-    weight than its least slopes.  The step lists the placements of each
-    unplaced tuple once, heaviest first, so the first one dropped ends a
-    state's list, and merges each placed tuple with each placement once."""
-    out, rows, merges = {}, {}, {}
+@cache
+def _gap_picks(unplaced: tuple) -> tuple:
+    """(weight, ways, left, added), heaviest first, for each placement of a of
+    the c elements of each unplaced class in a gap, in (sum a)! prod C(c, a) ways."""
+    return tuple(sorted(((weight, factorial(sum(a for _, a in added)) * ways, left, added)
+                         for ways, weight, added, left in _subsets(unplaced)), reverse=True))
+
+
+@cache
+def _merged(placed: tuple, added: tuple) -> tuple:
+    """The placed elements once a gap has added its placement."""
+    return _tally(placed + added)
+
+
+def _gap_step(states: dict, slopes: tuple) -> dict:
+    """Places the unplaced elements in the gap in each way of _gap_picks, heaviest
+    first, up to the first that leaves the next floor less than its least slopes."""
+    out = {}
     for (unplaced, placed, labelled, tops, sid), poly in states.items():
         least = slopes[sid][0] - sum(w * c for (w, _), c in placed)
-        picks = rows.get(unplaced)
-        if picks is None:
-            picks = rows[unplaced] = sorted(
-                ((weight, factorial(sum(a for _, a in added)) * ways, left, added)
-                 for ways, weight, added, left in _subsets(unplaced)), reverse=True)
-        for weight, ways, left, added in picks:
+        for weight, ways, left, added in _gap_picks(unplaced):
             if weight < least:
                 break
-            now = merges.get((placed, added))
-            if now is None:
-                now = merges[placed, added] = _tally(placed + added)
-            into = out.setdefault((left, now, labelled, tops, sid), {})
+            into = out.setdefault((left, _merged(placed, added), labelled, tops, sid), {})
             for e, c in poly.items():
                 into[e] = into.get(e, 0) + c * ways
     return out
 
 
-def _floor_picks(placed: tuple, f: int) -> list:
+@cache
+def _floor_picks(placed: tuple) -> tuple:
     """(ways, inflow, merged, taken, label, waiting) for each sub-multiset of
-    the placed elements that floor f can take in: the flow it brings, the
+    the placed elements that a floor can take in: the flow it brings, the
     components it absorbs and the elevators it takes from them, the label
     of the one component that the floor and those become (their lowest
-    floor), and the placed elements left waiting, renamed so."""
+    floor, 0 for the floor's own), and the placed elements left waiting, renamed so."""
     rows = []
     for ways, inflow, picked, waiting in _subsets(placed):
         merged, taken = set(), 0
@@ -332,11 +336,17 @@ def _floor_picks(placed: tuple, f: int) -> list:
             if comp:
                 merged.add(comp)
                 taken += b
-        label = min(merged, default=f)
+        label = min(merged, default=0)
         if len(merged) > 1:
             waiting = _tally(waiting, merged, label)
         rows.append((ways, inflow, tuple(merged), taken, label, waiting))
-    return rows
+    return tuple(rows)
+
+
+@cache
+def _emitted(left: tuple, counts: tuple, label: int) -> tuple:
+    """The unplaced elements once a floor emits the counted weights into label."""
+    return _tally(left + tuple(((w, label), c) for w, c in counts))
 
 
 def _held(unplaced: tuple, placed: tuple) -> dict:
@@ -348,19 +358,18 @@ def _held(unplaced: tuple, placed: tuple) -> dict:
     return held
 
 
-def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, K: int) -> dict:
+def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: tuple, K: int) -> dict:
     """Floor f < h - 1 takes a sub-multiset of the placed elements as its
-    incoming ends and elevators, one of the slope moves of its state, t top
-    ends and elevators whose weights carry the flow that is left.  A choice
-    survives when some count of labelled elements up to hi can finish it,
-    and an emission when it reaches need, the least that the lowest count
-    asks of the floors so far.  The step lists the choices of each placed
-    tuple once (_floor_picks) and tallies each (unplaced, weight counts,
-    label) once.  The t top ends take t of the h - f + L - labelled + u + T
-    places above floor f, where T top ends are left and L is the final
-    labelled count: hi - K + 1 + j for the term e*K + j of a sum, at every K
-    (j = 0 at K = 1).  Each state's sum is taken once per t, term by term."""
-    out, relabelled, table = {}, {}, {}
+    incoming ends and elevators (a component labelled f if it absorbs none),
+    one of the slope moves of its state, t top ends and elevators whose
+    weights carry the flow that is left.  A choice survives when some count
+    of labelled elements up to hi can finish it, and an emission when it
+    reaches need, the least that the lowest count asks of the floors so far.
+    The t top ends take t of the h - f + L - labelled + u + T places above
+    floor f, where T top ends are left and L is the final labelled count:
+    hi - K + 1 + j for the term e*K + j of a sum, at every K (j = 0 at K = 1).
+    Each state's sum is taken once per t, term by term."""
+    out = {}
     for (unplaced, placed, labelled, tops, sid), poly in states.items():
         rest, short = hi - labelled, need - labelled  # elevators: most to come, fewest now
         # the places of the t top ends above floor f if L = hi: floors,
@@ -371,10 +380,7 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, 
         # components and floors left
         held = _held(unplaced, placed)
         spare = rest + sum(held.values()) - len(held) - h + f
-        picks = table.get(placed)
-        if picks is None:
-            picks = table[placed] = _floor_picks(placed, f)
-        for ways, inflow, merged, taken, label, waiting in picks:
+        for ways, inflow, merged, taken, label, waiting in _floor_picks(placed):
             if spare - taken + len(merged) < 0:
                 continue
             pending = sum(map(held.__getitem__, merged)) > taken
@@ -390,10 +396,7 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, 
                                           for k, c in poly.items()}
                     for counts, n, mult in _emissions(flow, min(flow, rest), labelled, K):
                         if n >= short:
-                            now = relabelled.get((left, counts, label)) if n else left
-                            if now is None:
-                                emitted = tuple(((w, label), c) for w, c in counts)
-                                now = relabelled[left, counts, label] = _tally(left + emitted)
+                            now = _emitted(left, counts, label or f) if n else left
                             into = out.setdefault((now, waiting, labelled + n, tops - t, nid), {})
                             for x, d in mult:
                                 d *= ways
@@ -402,7 +405,7 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: list, 
     return out
 
 
-def _close_step(states: dict, h: int, hi: int, need: int, slopes: list, K: int) -> dict:
+def _close_step(states: dict, h: int, hi: int, need: int, slopes: tuple, K: int) -> dict:
     """Floor h - 1 as _floor_step takes it, then the last gap, which places
     the u elements left in u! ways, and the top floor, which takes them all
     in one: returns {labelled: sum}, no states, in plain exponents.  need is
@@ -420,17 +423,14 @@ def _close_step(states: dict, h: int, hi: int, need: int, slopes: list, K: int) 
     product per n.  The one fork on K is which terms it multiplies: j = n -
     short of a keyed run, or the whole sum at K = 1, where lo = hi or the
     top row is one point and L itself gives the genus."""
-    out, table, tails = {}, {}, {}
+    out, tails = {}, {}
     for (unplaced, placed, labelled, tops, sid), poly in states.items():
         rest, short = hi - labelled, need - labelled
         u = sum(c for _, c in unplaced)
         held = _held(unplaced, placed)
         spare = rest + sum(held.values()) - len(held) - 1
-        picks = table.get(placed)
-        if picks is None:
-            picks = table[placed] = _floor_picks(placed, h - 1)
         factors = {}  # the closing factor by emission count
-        for ways, inflow, merged, taken, _, _ in picks:
+        for ways, inflow, merged, taken, _, _ in _floor_picks(placed):
             if spare - taken + len(merged) < 0:
                 continue
             pending = sum(map(held.__getitem__, merged)) > taken
@@ -467,7 +467,7 @@ def _walk(polygon, widths: tuple, lo: int, hi: int) -> dict:
     if h == 1:  # the one floor takes its bottom ends in labelled! orders: the sum is 1
         return {widths[0]: LaurentPoly.one()} if lo <= widths[0] else {}
     K = hi - lo + 1 if widths[-1] else 1  # terms e*K + j, j = L - lo
-    slopes = _slope_moves(polygon)
+    slopes = _slope_moves(polygon.end_slopes())
     unplaced = (((1, 0), widths[0]),) if widths[0] else ()
     states = {(unplaced, (), widths[0], widths[-1], 0): dict.fromkeys(range(K), 1)}
     for f in range(1, h - 1):
@@ -504,8 +504,8 @@ def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
     divergence sequence shares the walk.  A state's partial sum is (bottom
     width + elevators)! times too large until the one division at the end.
     Top ends never enter a state: the floor that emits them counts their
-    places above it.  Each step lists the choices of each shape of state
-    once, and a floor step tallies each distinct emission once.  Floor h - 1
+    places above it.  Each step reads its choices from process-wide memos
+    keyed by shape alone (unplaced or placed tuple, end slopes).  Floor h - 1
     closes the walk (_close_step): it builds no states, but sums each
     state's closing factors by elevator count and multiplies its sum once
     per count into the sum of its labelled count, as the last gap and the

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from floordiagrams import floordiag
 from floordiagrams.invariants import InvariantTable
 from floordiagrams.polygon import HPolygon
 
@@ -23,3 +24,18 @@ def octagon() -> HPolygon:
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "OCTAGON_VERTICES"
     )
     return HPolygon(vertices)
+
+
+@pytest.fixture
+def cold_memos():
+    """Clears floordiag's process-wide memos before and after the test, so a
+    helper that the test patches under them is called, and what it returned
+    is not kept; the fixture's value clears them again when called."""
+    def clear():
+        for memo in vars(floordiag).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+
+    clear()
+    yield clear
+    clear()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floordiagrams import floordiag
+from floordiagrams import cli, floordiag
+from floordiagrams.fixtures import reference_rows
 from floordiagrams.floordiag import (
     MAX_HEIGHT,
     DiagramError,
@@ -17,6 +18,7 @@ from floordiagrams.floordiag import (
     refined_invariant,
     refined_invariants,
 )
+from floordiagrams.invariants import CACHE_ENV_VAR
 from floordiagrams.laurent import LaurentPoly
 from floordiagrams.polygon import HPolygon, PolygonError
 
@@ -470,25 +472,22 @@ def test_a_joint_walk_keeps_only_the_terms_whose_count_is_in_reach(monkeypatch):
     assert checked > 1000
 
 
-@pytest.mark.parametrize("spec, enumerations", [("rect:4,4", 145), ("p2:6", 292)])
-def test_each_walk_step_enumerates_each_shape_once(spec, enumerations, monkeypatch):
-    # a gap step lists the placements of each distinct unplaced tuple once,
-    # and a floor or closing step the choices of each distinct placed tuple,
-    # however many states share it: once per state would be 453 and 609
-    made, steps, subsets = [0], [], floordiag._subsets
+def subsets_by_shape(monkeypatch, run) -> tuple:
+    """(Counter of the inputs of the _subsets calls that run() makes, Counter
+    of the distinct unplaced tuples of the gap steps' states plus the
+    distinct placed tuples of the floor and closing steps' states)."""
+    made, shapes, subsets = Counter(), {0: set(), 1: set()}, floordiag._subsets
 
     def counted(items):
-        made[0] += 1
+        made[items] += 1
         return subsets(items)
 
     def watch(name, shape):
         step = getattr(floordiag, name)
 
         def watched(states, *args):
-            before = made[0]
-            out = step(states, *args)
-            steps.append((made[0] - before, len({key[shape] for key in states})))
-            return out
+            shapes[shape].update(key[shape] for key in states)
+            return step(states, *args)
 
         monkeypatch.setattr(floordiag, name, watched)
 
@@ -496,10 +495,31 @@ def test_each_walk_step_enumerates_each_shape_once(spec, enumerations, monkeypat
     watch("_gap_step", 0)
     watch("_floor_step", 1)
     watch("_close_step", 1)
-    refined_invariants(HPolygon.from_spec(spec), (0,))
-    assert len(steps) == 2 * (HPolygon.from_spec(spec).height - 1)
-    assert [made for made, _ in steps] == [shapes for _, shapes in steps]
-    assert sum(made for made, _ in steps) == enumerations
+    run()
+    return made, Counter(shapes[0]) + Counter(shapes[1])
+
+
+@pytest.mark.parametrize("spec, per_step", [("rect:4,4", 145), ("p2:6", 292)])
+def test_each_walk_step_enumerates_each_shape_once(spec, per_step, monkeypatch, cold_memos):
+    # the placements of an unplaced tuple (_gap_picks) and the choices of a
+    # placed tuple (_floor_picks) are process-wide memos: a walk lists each
+    # distinct tuple's once over all its steps, where listing them once per
+    # step took per_step, and a second walk lists none
+    poly = HPolygon.from_spec(spec)
+    made, shapes = subsets_by_shape(monkeypatch, lambda: refined_invariants(poly, (0,)))
+    assert made == shapes
+    assert sum(made.values()) < per_step
+    again, _ = subsets_by_shape(monkeypatch, lambda: refined_invariants(poly, (0,)))
+    assert not again
+
+
+def test_verify_all_enumerates_each_shape_once(monkeypatch, capsys, cold_memos):
+    # the dozens of walks of one request share the tables, where listing
+    # them once per step took 717 enumerations of 17 distinct tuples
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    made, shapes = subsets_by_shape(monkeypatch, lambda: cli.main(["verify", "--suite", "all"]))
+    assert made == shapes
+    assert sum(made.values()) < 717
 
 
 # sigma2:a,b with b > 0 narrows by two per floor and keeps a top row, so its
@@ -521,7 +541,39 @@ def test_joint_walk_matches_per_genus_walks_on_every_run(spec, request):
         assert refined_invariants(poly, run) == {g: single[g] for g in run}, (lo, hi)
 
 
-def test_walk_refuses_a_sum_that_the_labelled_factorial_does_not_divide(monkeypatch):
+def test_memos_carry_no_state_from_one_walk_to_the_next(octagon, cold_memos, monkeypatch):
+    # the walk's tables outlive it, so they must hold nothing of the walk
+    # that filled them: the values are the same with the memos warm from
+    # every polygon before as with the memos cleared before each polygon,
+    # and each entry is what a fresh call on its arguments gives
+    specs = RUN_POLYGONS + sorted({row.spec() for row in reference_rows()})
+    polygons = [octagon if s == "octagon" else HPolygon.from_spec(s) for s in specs]
+    memos = {name: f for name, f in vars(floordiag).items() if hasattr(f, "cache_clear")}
+    calls = defaultdict(set)
+    for name, memo in memos.items():
+        def recorded(*args, name=name, memo=memo):
+            calls[name].add(args)
+            return memo(*args)
+
+        recorded.cache_clear = memo.cache_clear
+        monkeypatch.setattr(floordiag, name, recorded)
+
+    def values(clear):
+        out = []
+        for poly in polygons:
+            clear()
+            out.append(refined_invariants(poly, range(poly.interior_lattice_count() + 1)))
+        return out
+
+    warm = values(lambda: None)
+    assert {"_emitted", "_floor_picks", "_gap_picks", "_merged", "_slope_moves"} <= set(calls)
+    for name, args in calls.items():
+        for arg in args:
+            assert memos[name](*arg) == memos[name].__wrapped__(*arg), (name, arg)
+    assert values(cold_memos) == warm
+
+
+def test_walk_refuses_a_sum_that_the_labelled_factorial_does_not_divide(monkeypatch, cold_memos):
     # a wrong factor: the constant term of every emission's factor one too large
     emissions = floordiag._emissions
 
@@ -536,7 +588,7 @@ def test_walk_refuses_a_sum_that_the_labelled_factorial_does_not_divide(monkeypa
         refined_invariant(HPolygon.from_spec("p2:3"), 0)
 
 
-def test_height_one_walk_takes_no_factorial_of_the_width(monkeypatch):
+def test_height_one_walk_takes_no_factorial_of_the_width(monkeypatch, cold_memos):
     # the one floor takes its bottom ends in any order, so the count is 1
     # however wide the strip, and needs no factorial of its width
     factorial = floordiag.factorial

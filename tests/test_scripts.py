@@ -122,6 +122,18 @@ def test_walk_ab_records_times_and_compares_walks(walk_ab, tmp_path):
     nothing = types.SimpleNamespace(refined_invariants=lambda *cell: {})
     empty = types.SimpleNamespace(polygon=engine.polygon, floordiag=nothing)
     assert walk_ab.time_cells({"parent": engine, "change": empty}, cells, 1)[1] == cells
+    # every timed run starts from cleared memos
+    runs = []
+
+    def walk(*cell):
+        runs.append("walk")
+        return {}
+
+    memo = types.SimpleNamespace(cache_clear=lambda: runs.append("clear"))
+    walks = types.SimpleNamespace(memo=memo, refined_invariants=walk)
+    walk_ab.time_cells({"change": types.SimpleNamespace(polygon=engine.polygon, floordiag=walks)},
+                       cells, 2)
+    assert runs == ["clear", "walk"] * 4
     line = walk_ab.report("wide-ends", cells, {"parent": dict.fromkeys(cells, 0.002),
                                                "change": dict.fromkeys(cells, 0.001)})
     assert line.split() == ["wide-ends", "2", "cells", "parent", "4.00", "ms",
