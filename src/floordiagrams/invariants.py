@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -103,6 +104,39 @@ _FIELDS = ("polygon", "genus", "pairs", "coeffs", "extrapolated")
 _get_fields = itemgetter(*_FIELDS)
 
 
+# The exact line _append_cache writes (json.dumps with its default separators).
+# A line it matches is valid by construction: integers are canonical (no
+# leading zeros, no -0, so two exponent keys never name one exponent) and
+# shorter than 640 digits, the lowest int_max_str_digits limit, so decoding
+# it later cannot fail.  [0-9], because \d also matches non-ASCII digits.
+_NATURAL = r"(?:0|[1-9][0-9]{0,638})"
+_INTEGER = r"(?:0|-?[1-9][0-9]{0,638})"
+_VERTEX = rf"\[{_INTEGER}, {_INTEGER}\]"
+_TERM = rf'"{_INTEGER}": {_INTEGER}'
+_CACHE_LINE = re.compile(
+    rf'\{{"engine": "{re.escape(ENGINE_VERSION)}", '
+    rf'"polygon": (?P<key>\[{_VERTEX}(?:, {_VERTEX})*\], '
+    rf'"genus": {_NATURAL}, "pairs": {_NATURAL}), '
+    rf'"coeffs": (?P<coeffs>\{{(?:{_TERM}(?:, {_TERM})*)?\}}), '
+    rf'"extrapolated": (?P<flag>true|false)\}}'
+)
+
+
+def _decoded(entry) -> InvariantRecord:
+    """The record of a cache index entry: a line _CACHE_LINE matched, or the
+    record _parse_cache_line already decoded."""
+    if type(entry) is InvariantRecord:
+        return entry
+    coeffs = LaurentPoly.from_json_dict(json.loads(entry["coeffs"]))
+    return InvariantRecord(coeffs, entry["flag"] == "true")
+
+
+def _key_of(text: str) -> InvariantKey:
+    """Inverse of InvariantTable._key_text."""
+    entry = json.loads('{"polygon": ' + text + "}")
+    return InvariantKey(tuple(map(tuple, entry["polygon"])), entry["genus"], entry["pairs"])
+
+
 def _parse_cache_line(line: str):
     """(key, record) stored on one cache line, or None for a stale line: one
     of another engine version, or a zero-area cut remainder written by an
@@ -142,6 +176,11 @@ class InvariantTable:
     """Memoized store of refined invariants with an optional JSONL cache at
     cache_path; no cache path means none, whatever the environment says.
 
+    Loading checks every cache line.  A line in the exact form _append_cache
+    writes is only indexed by its key text; its value is decoded when a
+    lookup first reads it.  Any other line (stale, spaced differently or
+    malformed) is parsed in full at load, so every error names its line.
+
     Each record carries an extrapolated flag: True when some recursion step
     was taken at a polygon whose toric surface is not a smooth del Pezzo of
     degree >= 7, i.e. beyond the range where the blow-up recursion is backed
@@ -158,6 +197,9 @@ class InvariantTable:
         self._torn: tuple[int, int] | None = None  # byte span of a torn last line
         self._cuts: dict[HPolygon, tuple] = {}
         self._polygons: dict[str, HPolygon] = {}
+        # the cache by key text, in file order: a matched line or a decoded record
+        self._index: dict[str, re.Match | InvariantRecord] = {}
+        self._polygon_texts: dict[tuple, str] = {}
         if self._cache_path and os.path.exists(self._cache_path):
             self._load_cache()
 
@@ -185,10 +227,9 @@ class InvariantTable:
 
     def record(self, polygon, genus: int, pairs: int) -> InvariantRecord:
         key = InvariantKey.make(polygon, genus, pairs)
-        try:
-            return self._records[key]
-        except KeyError:
-            pass
+        rec = self._known(key)
+        if rec is not None:
+            return rec
         if key in self._stuck:
             raise StuckError(self._stuck[key])
         try:
@@ -206,7 +247,7 @@ class InvariantTable:
         call, one walk per run of consecutive missing genera, and are
         stored and appended in ascending genus order."""
         keys = [InvariantKey.make(polygon, genus, 0) for genus in genera]
-        missing = [key.genus for key in keys if key not in self._records]
+        missing = [key.genus for key in keys if self._known(key) is None]
         if missing:
             values = refined_invariants(polygon, missing)
             for key in keys:
@@ -216,7 +257,11 @@ class InvariantTable:
         return [self._records[key] for key in keys]
 
     def items(self):
-        return tuple(self._records.items())
+        """Every record: the cached ones in file order, each decoded now if no
+        lookup has read it yet, then the ones computed here."""
+        records = {key: self._known(key) for key in map(_key_of, self._index)}
+        records.update(self._records)
+        return tuple(records.items())
 
     # -- computation ---------------------------------------------------------
 
@@ -319,9 +364,28 @@ class InvariantTable:
 
     # -- cache ---------------------------------------------------------------
 
+    def _key_text(self, key: InvariantKey) -> str:
+        """The text a cache line written for key holds from its polygon up to
+        its pair count; the polygon part is built once per table."""
+        try:
+            polygon = self._polygon_texts[key.polygon]
+        except KeyError:
+            polygon = self._polygon_texts[key.polygon] = json.dumps([list(v) for v in key.polygon])
+        return f'{polygon}, "genus": {key.genus}, "pairs": {key.pairs}'
+
+    def _known(self, key: InvariantKey) -> InvariantRecord | None:
+        """The record of key this table has read or computed, else the
+        cache's, decoded and memoized on its first read; None if neither
+        holds it."""
+        rec = self._records.get(key)
+        if rec is None and self._index:
+            entry = self._index.get(self._key_text(key))
+            if entry is not None:
+                rec = self._records[key] = _decoded(entry)
+        return rec
+
     def _load_cache(self):
-        # _records is empty here: the table is built around its cache
-        loaded = self._records
+        index = self._index
         polygons: dict[InvariantKey, HPolygon] = {}  # built only to verify
         with open(self._cache_path, encoding="utf-8") as handle:
             try:
@@ -339,30 +403,37 @@ class InvariantTable:
                 self._torn_cache_lines += 1
                 end = os.fstat(handle.fileno()).st_size
                 self._torn = (end - len(tail.encode("utf-8")), end)
+        # verifying builds each entry's polygon at its line, so it parses every line
+        verify, match = self._verify_cache, _CACHE_LINE.fullmatch
         for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                parsed = _parse_cache_line(line)
-                if self._verify_cache and parsed:
-                    polygons[parsed[0]] = HPolygon(parsed[0].polygon)
-            except ValueError as err:  # the shape checks leave no TypeError
-                raise InvariantError(
-                    f"malformed cache line {number} of {self._cache_path}: {err}"
-                ) from None
-            if parsed is None:
-                self._stale_cache_lines += 1
-                continue
-            key, rec = parsed
-            known = loaded.get(key)
-            if known is not None and known.value != rec.value:
-                raise InvariantError(f"conflicting cache entries for {key}")
-            loaded[key] = rec
-        if self._verify_cache:
+            entry = None if verify else match(line)
+            if entry is not None:
+                text = entry["key"]
+            else:
+                try:
+                    parsed = _parse_cache_line(line)
+                    if verify and parsed:
+                        polygons[parsed[0]] = HPolygon(parsed[0].polygon)
+                except ValueError as err:  # the shape checks leave no TypeError
+                    raise InvariantError(
+                        f"malformed cache line {number} of {self._cache_path}: {err}"
+                    ) from None
+                if parsed is None:
+                    self._stale_cache_lines += 1
+                    continue
+                key, entry = parsed
+                text = self._key_text(key)
+            known = index.get(text)
+            if known is not None and _decoded(known).value != _decoded(entry).value:
+                raise InvariantError(f"conflicting cache entries for {_key_of(text)}")
+            index[text] = entry
+        if verify:
             scratch = InvariantTable()
             for key, polygon in polygons.items():
-                rec = loaded[key]
+                rec = self._known(key)
                 fresh = scratch.record(polygon, key.genus, key.pairs)
                 if fresh.value != rec.value:
                     raise InvariantError(
@@ -393,7 +464,7 @@ class InvariantTable:
     def cache_stats(self) -> dict:
         return {
             "path": self._cache_path,
-            "records": len(self._records),
+            "records": len(self.items()),
             "stale_lines": self._stale_cache_lines,
             "torn_lines": self._torn_cache_lines,
         }

@@ -85,17 +85,18 @@ def test_traced_verify_and_listing_reach_the_surgery_and_floordiag_wrappers(caps
     assert all(counts[name] for name in enumerator), counts
 
 
-def test_traced_cache_hits_count_every_line_and_every_stored_record(capsys, tmp_path):
-    # the tracer counts lines read through invariants.json.loads and tells a
-    # cache hit by the identity of the record the load stored
+def test_traced_cache_hits_decode_only_the_records_they_read(capsys, tmp_path):
+    # the tracer counts lines decoded through invariants.json.loads: a load
+    # only indexes the lines the engine wrote, and each request decodes the
+    # records it reads, here the three of its pair column
     path = tmp_path / "cache.jsonl"
     requests = (
         ["--cache", str(path), "compute", "--polygon", "rect:2,2", "--pairs", "0..2"],
         ["--cache", str(path), "compute", "--polygon", "sigma2:2,1", "--pairs", "0..2"],
     )
     assert [cli.main(argv) for argv in requests] == [0, 0]
-    with path.open() as fh:
-        lines = len(fh.readlines())
+    written = path.read_bytes()
+    assert written.count(b"\n") > 6
     tracer = load_tracer()
     try:
         tracer.install(MODULES)
@@ -104,9 +105,9 @@ def test_traced_cache_hits_count_every_line_and_every_stored_record(capsys, tmp_
         tracer.uninstall()
     capsys.readouterr()
     assert codes == [0, 0, 0]
+    assert path.read_bytes() == written
     counts = tracer.counts()
     assert tracer.count["invariants.cache.load"] == 3
-    assert counts["invariants.cache.lines_read"] == 3 * lines
-    assert counts["invariants.cache.lookups"] > 0
-    assert counts["invariants.cache.hit_ratio"] == 1.0
+    assert counts["invariants.cache.lines_read"] == 3 * 3
+    assert counts["invariants.record.computed"] == 0
     assert counts["invariants.cache.lines_appended"] == 0

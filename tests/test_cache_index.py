@@ -1,0 +1,333 @@
+"""The cache's line pattern against the full parse of every line.
+
+A cache load indexes a line in the exact form the engine writes by its key
+text and decodes its value on the first lookup; any other line is parsed in
+full at load.  These tests check that the two paths cannot disagree: a line
+the pattern accepts decodes to what the full parse gives, and a whole file
+loads, answers and fails as it does when every line is parsed in full.
+"""
+
+import importlib.util
+import io
+import json
+import re
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from floordiagrams import cli, invariants
+from floordiagrams.invariants import InvariantError, InvariantTable, StuckError
+from floordiagrams.polygon import HPolygon
+from test_floordiag import small_polygons
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+# a pattern that matches no line, so the load parses every line in full
+NEVER = re.compile(r"(?!)")
+
+
+def _write_cache(path, requests):
+    for argv in requests:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            cli.main(["--cache", str(path), *argv])
+
+
+def _engine_lines() -> list[str]:
+    """Lines the engine writes: pair columns, genus sweeps and extrapolated
+    pair records, with negative exponents and both flag values."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        _write_cache(path, (
+            ["compute", "--polygon", "rect:2,2", "--pairs", "0..2"],
+            ["compute", "--polygon", "p2:4", "--genus", "0..2"],
+            ["compute", "--polygon", "sigma2:2,1", "--pairs", "0..3"],
+        ))
+        return path.read_text(encoding="utf-8").splitlines()
+
+
+ENGINE_LINES = _engine_lines()
+
+
+def test_the_engine_lines_cover_both_flags_and_negative_exponents():
+    assert all(invariants._CACHE_LINE.fullmatch(line) for line in ENGINE_LINES)
+    assert any('"extrapolated": true' in line for line in ENGINE_LINES)
+    assert any('"extrapolated": false' in line for line in ENGINE_LINES)
+    assert any('"-1": ' in line for line in ENGINE_LINES)
+
+
+def _respaced(line: str) -> str:
+    return json.dumps(json.loads(line), separators=(",", ":"))
+
+
+def _with_coeffs(line: str, coeffs: dict) -> str:
+    entry = json.loads(line)
+    entry["coeffs"] = coeffs
+    return json.dumps(entry)
+
+
+# -- mutations of engine-written lines ----------------------------------------
+
+
+def _splice(draw, line, pattern, make):
+    """line with one drawn match of pattern replaced by make(match text)."""
+    spans = [m.span() for m in re.finditer(pattern, line)]
+    if not spans:
+        return line
+    start, end = draw(st.sampled_from(spans))
+    return line[:start] + make(line[start:end]) + line[end:]
+
+
+@st.composite
+def _mutation(draw, line):
+    kind = draw(st.sampled_from((
+        "digit", "minus-zero", "leading-zero", "arabic-digit", "reorder", "spacing",
+        "duplicate-key", "flag-number", "long-number", "engine", "degenerate", "crlf",
+        "truncate",
+    )))
+    if kind == "digit":
+        digit = draw(st.sampled_from("0123456789"))
+        return _splice(draw, line, "[0-9]", lambda _: digit)
+    if kind == "minus-zero":
+        return _splice(draw, line, "-?[0-9]+", lambda _: "-0")
+    if kind == "leading-zero":
+        return _splice(draw, line, "[0-9]+", lambda digits: "0" + digits)
+    if kind == "arabic-digit":
+        return _splice(draw, line, "[0-9]", lambda _: "\u0662")
+    if kind in ("reorder", "degenerate"):
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            return line
+        if type(entry) is not dict:
+            return line
+        if kind == "degenerate":
+            return json.dumps({**entry, "polygon": "degenerate"})
+        order = draw(st.permutations(list(entry)))
+        return json.dumps({field: entry[field] for field in order})
+    if kind == "spacing":
+        gap = draw(st.sampled_from(("", "  ", "\t", " \t")))
+        return _splice(draw, line, "[,:] ", lambda sep: sep[0] + gap)
+    if kind == "duplicate-key":
+        exponent = draw(st.sampled_from(("0", "1", "-1", "01", "-0", "+1", " 1")))
+        coeff = draw(st.integers(-3, 3))
+        return line.replace('"coeffs": {', f'"coeffs": {{"{exponent}": {coeff}, ', 1)
+    if kind == "flag-number":
+        return line.replace("true", "1").replace("false", "0")
+    if kind == "long-number":
+        digits = draw(st.sampled_from((638, 639, 640, 5000)))
+        return _splice(draw, line, "(?<=: )-?[0-9]+(?=[,}])", lambda _: "9" * digits)
+    if kind == "engine":
+        version = draw(st.sampled_from(("0.0.9", "0.1.1", "0.1.0 ")))
+        return line.replace(invariants.ENGINE_VERSION, version, 1)
+    if kind == "crlf":
+        return line + "\r"
+    return line[:draw(st.integers(0, len(line)))]
+
+
+@st.composite
+def mutated_lines(draw):
+    line = draw(st.sampled_from(ENGINE_LINES))
+    for _ in range(draw(st.integers(1, 3))):
+        line = draw(_mutation(line))
+    return line
+
+
+@st.composite
+def cache_files(draw):
+    """Text of a cache file: engine lines, duplicated or mutated, and blanks."""
+    lines = draw(st.lists(
+        st.one_of(st.sampled_from(ENGINE_LINES), mutated_lines(), st.sampled_from(("", " \t"))),
+        min_size=1, max_size=8,
+    ))
+    text = "\n".join(lines)
+    return text if draw(st.booleans()) else text + "\n"
+
+
+# -- the two paths agree ------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_lines())
+def test_a_line_the_pattern_accepts_decodes_as_its_full_parse(line):
+    line = line.strip()
+    match = invariants._CACHE_LINE.fullmatch(line)
+    if match is None:
+        return
+    key, rec = invariants._parse_cache_line(line)
+    assert invariants._key_of(match["key"]) == key
+    assert InvariantTable()._key_text(key) == match["key"]
+    decoded = invariants._decoded(match)
+    assert decoded == rec and type(decoded.extrapolated) is bool
+
+
+def _coeffs_text(text: str) -> str:
+    return re.sub(r'"coeffs": \{[^}]*\}', lambda _: f'"coeffs": {text}', ENGINE_LINES[0])
+
+
+@pytest.mark.parametrize("line", (
+    _coeffs_text('{"0": ' + "9" * 5000 + "}"),  # past the digit limit
+    _coeffs_text('{"0": ' + "9" * 640 + "}"),
+    _coeffs_text('{"1": 1, "01": 2}'),  # two keys for one exponent
+    _coeffs_text('{"-0": 1}'),
+    _coeffs_text('{"\u0662": 1}'),  # an Arabic-Indic two
+    _coeffs_text('{"0": 01}'),
+    ENGINE_LINES[0].replace("[0, 0]", "[-0, 0]", 1),
+    ENGINE_LINES[0].replace('"genus": 0', '"genus": 00', 1),
+    ENGINE_LINES[0].replace("false", "0").replace("true", "1"),
+    ENGINE_LINES[0].replace(", ", ",", 1),
+    ENGINE_LINES[0].replace(invariants.ENGINE_VERSION, "0.0.9", 1),
+))
+def test_the_pattern_refuses_what_the_writer_never_writes(line):
+    assert line != ENGINE_LINES[0]
+    assert invariants._CACHE_LINE.fullmatch(line) is None
+
+
+def test_the_longest_number_the_pattern_accepts_decodes_at_the_lowest_digit_limit():
+    line = _with_coeffs(ENGINE_LINES[0], {"0": int("9" * 639)})
+    match = invariants._CACHE_LINE.fullmatch(line)
+    assert match is not None
+    assert invariants._CACHE_LINE.fullmatch(line.replace("9" * 639, "9" * 640)) is None
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert invariants._decoded(match) == invariants._parse_cache_line(line)[1]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _outcome(path, text, requests):
+    """What loading a cache file holding text gives: the table's records and
+    stats, or its error, then each CLI request's exit code, stdout and stderr,
+    and the file's bytes after them."""
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        table = InvariantTable(cache_path=str(path))
+        loaded = (table.items(), table.cache_stats())
+    except InvariantError as err:
+        loaded = str(err)
+    answers = []
+    for argv in requests:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["--cache", str(path), *argv])
+        answers.append((code, out.getvalue(), err.getvalue()))
+    return loaded, answers, path.read_bytes()
+
+
+FILE_REQUESTS = (
+    ["cache", "stats"],
+    ["compute", "--polygon", "rect:2,2", "--pairs", "0..2"],
+    ["compute", "--polygon", "p2:4", "--genus", "0..2", "--emit", "json"],
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cache_files())
+def test_a_cache_file_loads_and_answers_as_when_every_line_is_parsed(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        indexed = _outcome(path, text, FILE_REQUESTS)
+        with mock.patch.object(invariants, "_CACHE_LINE", NEVER):
+            parsed = _outcome(path, text, FILE_REQUESTS)
+    assert indexed == parsed
+
+
+# -- the pattern is the writer's line ----------------------------------------
+
+
+def _warm_cache_populate() -> list[list[str]]:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: workloads}):  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+    populate = workloads.WORKLOADS["warm-cache"].populate
+    return [list(request.resolve("", "{cache}"))[2:] for request in populate]
+
+
+def test_every_line_the_engine_writes_takes_the_indexed_path(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _write_cache(path, _warm_cache_populate())
+    table = InvariantTable(cache_path=str(path))
+    polygons = small_polygons()
+    for polygon in polygons:
+        for pairs in range(min(2, invariants.max_pairs(polygon)) + 1):
+            try:
+                table.record(polygon, 0, pairs)
+            except StuckError:
+                break
+        table.record(polygon, 1, 0)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) > len(polygons)
+    assert [line for line in lines if not invariants._CACHE_LINE.fullmatch(line)] == []
+    # no line takes the full parse, and each reads back as the writer stored it
+    with mock.patch.object(invariants, "_parse_cache_line", None):
+        reread = InvariantTable(cache_path=str(path))
+    assert dict(reread.items()) == dict(table.items())
+
+
+@pytest.mark.parametrize("span", (["--genus", "0..3"], ["--pairs", "0..5"]))
+def test_a_warm_request_leaves_the_cache_file_as_it_was(tmp_path, capsys, span):
+    path = tmp_path / "cache.jsonl"
+    argv = ["--cache", str(path), "compute", "--polygon", "p2:4", *span]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr()
+    written = path.read_bytes()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == cold
+    assert path.read_bytes() == written
+
+
+# -- conflicts and the order of errors ----------------------------------------
+
+
+@pytest.mark.parametrize("respaced_first", (False, True))
+def test_a_respaced_line_conflicts_with_a_canonical_one(tmp_path, respaced_first):
+    path = tmp_path / "cache.jsonl"
+    canonical = ENGINE_LINES[0]
+    other = _respaced(_with_coeffs(canonical, {"0": 7}))
+    assert invariants._CACHE_LINE.fullmatch(canonical)
+    assert not invariants._CACHE_LINE.fullmatch(other)
+    lines = [other, canonical] if respaced_first else [canonical, other]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    key = invariants._parse_cache_line(canonical)[0]
+    with pytest.raises(InvariantError) as info:
+        InvariantTable(cache_path=str(path))
+    assert str(info.value) == f"conflicting cache entries for {key}"
+
+
+@pytest.mark.parametrize("respaced_first", (False, True))
+def test_an_explicit_zero_duplicate_does_not_conflict(tmp_path, respaced_first):
+    path = tmp_path / "cache.jsonl"
+    canonical = ENGINE_LINES[0]
+    key, rec = invariants._parse_cache_line(canonical)
+    zero = _with_coeffs(canonical, {**rec.value.to_json_dict(), "9": 0})
+    for other in (zero, _respaced(zero)):
+        lines = [other, canonical] if respaced_first else [canonical, other]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        table = InvariantTable(cache_path=str(path))
+        assert table.items() == ((key, rec),)
+        assert table.cache_stats()["records"] == 1
+
+
+@pytest.mark.parametrize("verify", (False, True))
+def test_of_two_bad_lines_the_error_names_the_first(tmp_path, verify):
+    path = tmp_path / "cache.jsonl"
+    good = ENGINE_LINES[0]
+    # a line in the engine's form whose polygon is not convex: only a
+    # verifying load builds the polygon, so only it finds the line bad
+    concave = json.loads(good)
+    concave["polygon"] = [[0, 0], [2, 0], [1, 1], [2, 2], [0, 2]]
+    concave = json.dumps(concave)
+    assert invariants._CACHE_LINE.fullmatch(concave)
+    with pytest.raises(ValueError):
+        HPolygon(json.loads(concave)["polygon"])
+    lines = [good, concave, "[]", _respaced(_with_coeffs(good, {"0": 7})), "{"]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(InvariantError) as info:
+        InvariantTable(cache_path=str(path), verify_cache=verify)
+    assert str(info.value).startswith(f"malformed cache line {2 if verify else 3} of {path}: ")
