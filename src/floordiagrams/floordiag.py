@@ -82,12 +82,6 @@ class FloorDiagram:
             out = out * quantum_square(w)
         return out
 
-    def automorphism_size(self) -> int:
-        size = 1
-        for count in (*Counter(self.elevators).values(), *self.bottom_ends, *self.top_ends):
-            size *= factorial(count)
-        return size
-
     def marking_count(self) -> int:
         """Number of markings: linear extensions of the diagram order, divided
         by the automorphisms permuting identical elevators and identical ends.
@@ -145,25 +139,19 @@ def _outgoing_combinations(total: int, source: int, top: int, max_count: int, le
                     yield ((source, target, weight),) + rest
 
 
-@cache
-def _choices(xs: tuple) -> tuple:
-    """(x, the other slopes) for each distinct slope x in xs."""
-    return tuple((x, xs[:i] + xs[i + 1 :]) for i, x in enumerate(xs) if x not in xs[:i])
-
-
 def divergence_sequences(polygon) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Floor divergence sequences with their slope-assignment counts: one
-    left and one right boundary slope per floor, in every distinct order."""
-    combos: Counter = Counter()
-
-    def assign(lefts, rights, seq):
-        if not lefts:
-            combos[seq] += 1
-        for (a, lrest), (b, rrest) in product(_choices(lefts), _choices(rights)):
-            assign(lrest, rrest, seq + (a + b,))
-
-    assign(*polygon.end_slopes(), ())
-    return tuple(sorted(combos.items()))
+    left and one right boundary slope per floor, in every distinct order,
+    one move of the walk's slope-move table per floor."""
+    moves = _slope_moves(polygon.end_slopes())
+    paths = {((), 0): 1}  # (divergences so far, id of the slopes left): orders
+    for _ in range(polygon.height):
+        step: Counter = Counter()
+        for (seq, i), count in paths.items():
+            for divergence, j in moves[i][1]:
+                step[seq + (divergence,), j] += count
+        paths = step
+    return tuple(sorted((seq, count) for (seq, _), count in paths.items()))
 
 
 def enumerate_diagrams(polygon, genus: int) -> tuple[FloorDiagram, ...]:
@@ -267,10 +255,13 @@ def _slope_moves(end_slopes: tuple) -> tuple:
     """The walk's slope-move table: entry i holds, for the i-th multiset of
     slopes still to assign (0 the end slopes'), its least left plus least
     right slope and (a + b, next id) for each distinct left a and right b."""
+    def choices(xs):  # (x, the other slopes) for each distinct slope x in xs
+        return [(x, xs[:i] + xs[i + 1 :]) for i, x in enumerate(xs) if x not in xs[:i]]
+
     order, table, ids = [end_slopes], [], {end_slopes: 0}
     for lefts, rights in order:  # grows as new multisets turn up
         moves = []
-        for (a, lrest), (b, rrest) in product(_choices(lefts), _choices(rights)):
+        for (a, lrest), (b, rrest) in product(choices(lefts), choices(rights)):
             rest = (lrest, rrest)
             if rest not in ids:
                 ids[rest] = len(order)

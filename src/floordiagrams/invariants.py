@@ -21,8 +21,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 from .floordiag import MAX_HEIGHT, refined_invariant as _direct_invariant, refined_invariants
@@ -97,29 +95,27 @@ class InvariantRecord(NamedTuple):
     extrapolated: bool
 
 
-_INT = frozenset((int,))
-_LIST = frozenset((list,))
-_PAIR = frozenset((2,))
 _FIELDS = ("polygon", "genus", "pairs", "coeffs", "extrapolated")
-_get_fields = itemgetter(*_FIELDS)
 
 
-# The exact line _append_cache writes (json.dumps with its default separators).
-# A line it matches is valid by construction: integers are canonical (no
-# leading zeros, no -0, so two exponent keys never name one exponent) and
-# shorter than 640 digits, the lowest int_max_str_digits limit, so decoding
-# it later cannot fail.  [0-9], because \d also matches non-ASCII digits.
+# The line _append_cache writes: json.dumps of the engine version and _FIELDS
+# in that order, with its default separators, with holes for the key text and
+# the json.dumps of coeffs and flag.  _CACHE_LINE is its pattern, each hole
+# replaced by the pattern of what fills it.  A line it matches is valid by
+# construction: integers are canonical (no leading zeros, no -0, so two
+# exponent keys never name one exponent) and shorter than 640 digits, the
+# lowest int_max_str_digits limit, so decoding it later cannot fail.  [0-9],
+# because \d also matches non-ASCII digits.
+_TEMPLATE = '{"engine": "' + ENGINE_VERSION + '", "polygon": %s, "coeffs": %s, "extrapolated": %s}'
 _NATURAL = r"(?:0|[1-9][0-9]{0,638})"
 _INTEGER = r"(?:0|-?[1-9][0-9]{0,638})"
 _VERTEX = rf"\[{_INTEGER}, {_INTEGER}\]"
 _TERM = rf'"{_INTEGER}": {_INTEGER}'
-_CACHE_LINE = re.compile(
-    rf'\{{"engine": "{re.escape(ENGINE_VERSION)}", '
-    rf'"polygon": (?P<key>\[{_VERTEX}(?:, {_VERTEX})*\], '
-    rf'"genus": {_NATURAL}, "pairs": {_NATURAL}), '
-    rf'"coeffs": (?P<coeffs>\{{(?:{_TERM}(?:, {_TERM})*)?\}}), '
-    rf'"extrapolated": (?P<flag>true|false)\}}'
-)
+_CACHE_LINE = re.compile(re.escape(_TEMPLATE) % (
+    rf'(?P<key>\[{_VERTEX}(?:, {_VERTEX})*\], "genus": {_NATURAL}, "pairs": {_NATURAL})',
+    rf"(?P<coeffs>\{{(?:{_TERM}(?:, {_TERM})*)?\}})",
+    "(?P<flag>true|false)",
+))
 
 
 def _decoded(entry) -> InvariantRecord:
@@ -138,36 +134,32 @@ def _key_of(text: str) -> InvariantKey:
 
 
 def _parse_cache_line(line: str):
-    """(key, record) stored on one cache line, or None for a stale line: one
-    of another engine version, or a zero-area cut remainder written by an
-    earlier build."""
+    """(key, record) stored on a line _CACHE_LINE does not match (stale,
+    hand-spaced or malformed), or None for a stale line: one of another
+    engine version, or a zero-area cut remainder written by an earlier build."""
     entry = json.loads(line)
     if type(entry) is not dict:
         raise ValueError("not a JSON object")
     if entry.get("engine") != ENGINE_VERSION or entry.get("polygon") == "degenerate":
         return None
-    try:
-        polygon, genus, pairs, coeffs, extrapolated = _get_fields(entry)
-    except KeyError:
-        missing = [field for field in _FIELDS if field not in entry]
-        raise ValueError(f"missing {', '.join(missing)}") from None
-    # type and shape checks only, in C-level calls because every request
-    # reloads the cache: a bool, a float or a string would compare equal to,
-    # or be coerced into, a valid field and serve a wrong answer
+    missing = [field for field in _FIELDS if field not in entry]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    polygon, genus, pairs, coeffs, extrapolated = (entry[field] for field in _FIELDS)
+    # type and shape checks only: a bool, a float or a string would compare
+    # equal to, or be coerced into, a valid field and serve a wrong answer
     if type(genus) is not int or type(pairs) is not int or genus < 0 or pairs < 0:
         raise ValueError("genus and pairs must be integers >= 0")
     if type(extrapolated) is not bool:
         raise ValueError("extrapolated must be true or false")
-    if (type(polygon) is not list or not _LIST.issuperset(map(type, polygon))
-            or not _PAIR.issuperset(map(len, polygon))):
+    if type(polygon) is not list or any(type(v) is not list or len(v) != 2 for v in polygon):
         raise ValueError("polygon must be a list of [x, y] integer pairs")
-    key_poly = tuple(map(tuple, polygon))
-    if not _INT.issuperset(map(type, chain.from_iterable(key_poly))):
+    if any(type(c) is not int for v in polygon for c in v):
         raise ValueError("polygon coordinates must be integers")
     if type(coeffs) is not dict:
         raise ValueError("coeffs must be a JSON object")
     return (
-        InvariantKey(key_poly, genus, pairs),
+        InvariantKey(tuple(map(tuple, polygon)), genus, pairs),
         InvariantRecord(LaurentPoly.from_json_dict(coeffs), extrapolated),
     )
 
@@ -176,10 +168,12 @@ class InvariantTable:
     """Memoized store of refined invariants with an optional JSONL cache at
     cache_path; no cache path means none, whatever the environment says.
 
-    Loading checks every cache line.  A line in the exact form _append_cache
-    writes is only indexed by its key text; its value is decoded when a
-    lookup first reads it.  Any other line (stale, spaced differently or
-    malformed) is parsed in full at load, so every error names its line.
+    Loading reads every cache line through one loop.  A line in the exact
+    form _append_cache writes is only indexed by its key text; its value is
+    decoded when a lookup first reads it.  Any other line (stale, spaced
+    differently or malformed) is parsed in full at load, so every error
+    names its line.  With verify_cache each entry's polygon is built from
+    its key text at its line, and every record is then recomputed.
 
     Each record carries an extrapolated flag: True when some recursion step
     was taken at a polygon whose toric surface is not a smooth del Pezzo of
@@ -324,7 +318,7 @@ class InvariantTable:
 
         return sweep(polygon, pairs)
 
-    def recursion_trace(self, polygon, pairs: int, visited: set | None = None) -> dict:
+    def recursion_trace(self, polygon, pairs: int) -> dict:
         """Unfolding of the recursion, for mismatch and blockage reports.
 
         Each node holds the polygon, its pair count and its value or error.
@@ -334,33 +328,34 @@ class InvariantTable:
         polygon, pairs): only the first occurrence of a key is expanded, and
         later ones are "repeat" nodes without children.  A blocked node, where
         no corner admits the cut of a nonempty class, ends its branch.
-        visited holds the keys the walk has reached so far.
         """
-        node = {"polygon": [list(v) for v in polygon.vertices], "pairs": pairs}
-        if visited is None:
-            visited = set()
-        key = (polygon.canonical_key(), pairs)
-        if key in visited:
-            node["repeat"] = True
+        visited: set[tuple] = set()
+
+        def walk(poly, s) -> dict:
+            node = {"polygon": [list(v) for v in poly.vertices], "pairs": s}
+            key = (poly.canonical_key(), s)
+            if key in visited:
+                node["repeat"] = True
+                return node
+            visited.add(key)
+            try:
+                rec = self.record(poly, 0, s)
+            except StuckError as err:
+                node["error"] = str(err)
+            else:
+                node["value"] = rec.value.to_json_dict()
+                node["extrapolated"] = rec.extrapolated
+            if s == 0:
+                return node
+            try:
+                children = list(self._children(poly))
+            except StuckError:
+                return node
+            node["corner"] = children[-1][0] and list(children[-1][0])
+            node["children"] = [walk(child, s - 1) for _, child in children]
             return node
-        visited.add(key)
-        try:
-            rec = self.record(polygon, 0, pairs)
-        except StuckError as err:
-            node["error"] = str(err)
-        else:
-            node["value"] = rec.value.to_json_dict()
-            node["extrapolated"] = rec.extrapolated
-        if pairs == 0:
-            return node
-        try:
-            children = list(self._children(polygon))
-        except StuckError:
-            return node
-        node["corner"] = children[-1][0] and list(children[-1][0])
-        node["children"] = [self.recursion_trace(child, pairs - 1, visited)
-                            for _, child in children]
-        return node
+
+        return walk(polygon, pairs)
 
     # -- cache ---------------------------------------------------------------
 
@@ -386,7 +381,6 @@ class InvariantTable:
 
     def _load_cache(self):
         index = self._index
-        polygons: dict[InvariantKey, HPolygon] = {}  # built only to verify
         with open(self._cache_path, encoding="utf-8") as handle:
             try:
                 lines = handle.read().split("\n")
@@ -403,38 +397,36 @@ class InvariantTable:
                 self._torn_cache_lines += 1
                 end = os.fstat(handle.fileno()).st_size
                 self._torn = (end - len(tail.encode("utf-8")), end)
-        # verifying builds each entry's polygon at its line, so it parses every line
         verify, match = self._verify_cache, _CACHE_LINE.fullmatch
         for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
-            entry = None if verify else match(line)
-            if entry is not None:
-                text = entry["key"]
-            else:
-                try:
+            try:
+                entry = match(line)
+                if entry is not None:
+                    text = entry["key"]
+                else:
                     parsed = _parse_cache_line(line)
-                    if verify and parsed:
-                        polygons[parsed[0]] = HPolygon(parsed[0].polygon)
-                except ValueError as err:  # the shape checks leave no TypeError
-                    raise InvariantError(
-                        f"malformed cache line {number} of {self._cache_path}: {err}"
-                    ) from None
-                if parsed is None:
-                    self._stale_cache_lines += 1
-                    continue
-                key, entry = parsed
-                text = self._key_text(key)
+                    if parsed is None:
+                        self._stale_cache_lines += 1
+                        continue
+                    key, entry = parsed
+                    text = self._key_text(key)
+                if verify:  # a polygon that is not convex fails at its line
+                    HPolygon(_key_of(text).polygon)
+            except ValueError as err:  # the shape checks leave no TypeError
+                raise InvariantError(
+                    f"malformed cache line {number} of {self._cache_path}: {err}"
+                ) from None
             known = index.get(text)
             if known is not None and _decoded(known).value != _decoded(entry).value:
                 raise InvariantError(f"conflicting cache entries for {_key_of(text)}")
             index[text] = entry
         if verify:
             scratch = InvariantTable()
-            for key, polygon in polygons.items():
-                rec = self._known(key)
-                fresh = scratch.record(polygon, key.genus, key.pairs)
+            for key, rec in self.items():
+                fresh = scratch.record(HPolygon(key.polygon), key.genus, key.pairs)
                 if fresh.value != rec.value:
                     raise InvariantError(
                         f"cache verification failed for {key}: "
@@ -445,21 +437,14 @@ class InvariantTable:
     def _append_cache(self, key: InvariantKey, rec: InvariantRecord):
         if not self._cache_path:
             return
-        entry = {
-            "engine": ENGINE_VERSION,
-            "polygon": [list(v) for v in key.polygon],
-            "genus": key.genus,
-            "pairs": key.pairs,
-            "coeffs": rec.value.to_json_dict(),
-            "extrapolated": rec.extrapolated,
-        }
         with open(self._cache_path, "a", encoding="utf-8") as handle:
             if self._torn and handle.tell() == self._torn[1]:
                 # left in place, the fragment would become a malformed line
                 # that is no longer the last one
                 handle.truncate(self._torn[0])
             self._torn = None
-            handle.write(json.dumps(entry) + "\n")
+            handle.write(_TEMPLATE % (self._key_text(key), json.dumps(rec.value.to_json_dict()),
+                                      json.dumps(rec.extrapolated)) + "\n")
 
     def cache_stats(self) -> dict:
         return {

@@ -264,10 +264,75 @@ def test_every_line_the_engine_writes_takes_the_indexed_path(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) > len(polygons)
     assert [line for line in lines if not invariants._CACHE_LINE.fullmatch(line)] == []
-    # no line takes the full parse, and each reads back as the writer stored it
+    verified = _verified(path)
+    # no line takes the full parse, and each reads back as the writer stored
+    # it; a verifying load, which builds every polygon and recomputes, ends
+    # as it does with the full parse in place
     with mock.patch.object(invariants, "_parse_cache_line", None):
         reread = InvariantTable(cache_path=str(path))
+        assert _verified(path) == verified
     assert dict(reread.items()) == dict(table.items())
+    if not isinstance(verified, str):
+        assert dict(verified) == dict(table.items())
+
+
+def _verified(path):
+    """The records of a verifying load of the cache file, or its error."""
+    try:
+        return InvariantTable(cache_path=str(path), verify_cache=True).items()
+    except InvariantError as err:
+        return str(err)
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantError, reason=(
+    "an extrapolated pair value can depend on the cut corner, and the table "
+    "keys it by the polygon up to reflection: verifying recomputes the "
+    "canonical mirror image, q^-2 + 6q^-1 + 18 + 6q + q^2, where the engine "
+    "wrote 20 for the other image"))
+def test_a_cache_the_engine_wrote_verifies(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    polygon = HPolygon([(0, 2), (2, 0), (4, 0), (1, 3)])
+    assert polygon.vertices != polygon.canonical_key()
+    InvariantTable(cache_path=str(path)).record(polygon, 0, 1)
+    InvariantTable(cache_path=str(path), verify_cache=True)
+
+
+def _old_line(key, rec) -> str:
+    """The line the writer wrote as json.dumps of one dict of its fields."""
+    return json.dumps({
+        "engine": invariants.ENGINE_VERSION,
+        "polygon": [list(v) for v in key.polygon],
+        "genus": key.genus,
+        "pairs": key.pairs,
+        "coeffs": rec.value.to_json_dict(),
+        "extrapolated": rec.extrapolated,
+    })
+
+
+def test_the_writer_writes_json_dumps_of_the_fields_in_order(tmp_path):
+    # files written by either form of the writer are interchangeable
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(line + "\n" for line in ENGINE_LINES), encoding="utf-8")
+    # above the interior point count the value is the zero polynomial; the
+    # library writes it, the CLI refuses to ask for it
+    InvariantTable(cache_path=str(path)).record(HPolygon.p2_triangle(3), 2, 0)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = InvariantTable(cache_path=str(path)).items()
+    assert {rec.extrapolated for _, rec in records} == {False, True}
+    assert any(rec.value.to_json_dict() == {} for _, rec in records)
+    assert any(min(rec.value.to_coeff_dict(), default=0) < 0 for _, rec in records)
+    assert lines == [_old_line(key, rec) for key, rec in records]
+
+
+def test_a_respaced_twin_of_an_engine_file_verifies_alike(tmp_path):
+    # the twin takes the full parse on every line, the engine file none
+    engine, twin = tmp_path / "engine.jsonl", tmp_path / "twin.jsonl"
+    engine.write_text("".join(line + "\n" for line in ENGINE_LINES), encoding="utf-8")
+    twin.write_text("".join(_respaced(line) + "\n" for line in ENGINE_LINES), encoding="utf-8")
+    tables = [InvariantTable(cache_path=str(path), verify_cache=True) for path in (engine, twin)]
+    assert tables[0].items() == tables[1].items()
+    stats = [{**table.cache_stats(), "path": None} for table in tables]
+    assert stats[0] == stats[1] and stats[0]["records"] == len(ENGINE_LINES)
 
 
 @pytest.mark.parametrize("span", (["--genus", "0..3"], ["--pairs", "0..5"]))

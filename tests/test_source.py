@@ -52,8 +52,7 @@ def test_process_wide_memos_are_pinned():
                     found.update(f"{path.stem}.{ast.unparse(t)}" for t in node.targets)
     # the walk's tables, keyed by shape alone (tests/test_floordiag.py
     # checks that warm and cleared memos give the same values)
-    walk = {"_choices", "_emissions", "_emitted", "_floor_picks", "_gap_picks", "_merged",
-            "_slope_moves"}
+    walk = {"_emissions", "_emitted", "_floor_picks", "_gap_picks", "_merged", "_slope_moves"}
     assert found == {"cli.build_parser"} | {f"floordiag.{name}" for name in walk}
 
 
@@ -93,11 +92,10 @@ def test_self_recursive_functions_are_pinned():
         # distinct weights of the elevators still to come out of one floor
         "floordiag._emissions",
         # one level per floor: height <= MAX_HEIGHT
-        "floordiag.divergence_sequences.assign",
         "floordiag.enumerate_diagrams.extend",
         # one level per pair, at most max_pairs
         "invariants.InvariantTable.descendant_value_set.sweep",
-        "invariants.InvariantTable.recursion_trace",
+        "invariants.InvariantTable.recursion_trace.walk",
     }
 
 
@@ -134,19 +132,24 @@ def test_every_private_module_name_is_used_in_its_module():
     assert checked and unused == []
 
 
+def _texts_outside_tests() -> list[str]:
+    """Text of every module, benchmark file and script, the tests left out."""
+    root = PACKAGE.parents[1]
+    return [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "perfbench", "scripts")
+        for path in sorted((root / folder).rglob("*.py"))
+        if "tests" not in path.relative_to(root).parts
+    ]
+
+
 def test_every_public_module_name_is_exported_or_used():
     # a public name that the package does not export and that no module,
     # benchmark file or script names is library surface that nothing calls;
     # the tests do not count, so a name kept only for them is flagged too
     import floordiagrams
 
-    root = PACKAGE.parents[1]
-    texts = [
-        path.read_text(encoding="utf-8")
-        for folder in ("src", "perfbench", "scripts")
-        for path in sorted((root / folder).rglob("*.py"))
-        if "tests" not in path.relative_to(root).parts
-    ]
+    texts = _texts_outside_tests()
     checked, unused = 0, []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -157,4 +160,23 @@ def test_every_public_module_name_is_exported_or_used():
             # the definition itself is one whole-word occurrence
             if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts) < 2:
                 unused.append(f"{path.stem}.{name}")
+    assert checked and unused == []
+
+
+def test_every_public_method_is_used():
+    # the method-level sibling of the test above: a public method of a
+    # package class that no module, benchmark file or script reads, as
+    # .name or as a quoted name (the tracer binds methods by string), is
+    # library surface that nothing calls
+    texts = _texts_outside_tests()
+    checked, unused = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    checked += 1
+                    read = rf"\.{node.name}\b|([\"']){node.name}\1"
+                    if not any(re.search(read, text) for text in texts):
+                        unused.append(f"{path.stem}.{cls.name}.{node.name}")
     assert checked and unused == []
