@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .fixtures import read_json, reference_rows
 from .floordiag import diagram_sum, diagram_terms, refined_invariants
@@ -61,6 +62,33 @@ INDEPENDENCE_CASES = (
     ("p2:3", 2),
     ("p2:4", 2),
 )
+
+
+def _indented_json(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for dicts
+    with str keys, lists, tuples, str, int, bool and None, else TypeError;
+    json.dumps runs the indented form in pure Python, about twice as slow."""
+
+    def write(value, indent):
+        kind = type(value)
+        if kind is str:
+            return encode_basestring_ascii(value)
+        if kind is int:
+            return int.__repr__(value)
+        if kind is bool or value is None:
+            return "null" if value is None else "true" if value else "false"
+        inner = indent + "  "
+        if kind is dict:  # the key's encoding refuses a non-str key
+            items = [
+                f"{encode_basestring_ascii(key)}: {write(value[key], inner)}" for key in sorted(value)
+            ]
+            return "{" + inner + ("," + inner).join(items) + indent + "}" if value else "{}"
+        if kind is list or kind is tuple:
+            items = [write(item, inner) for item in value]
+            return "[" + inner + ("," + inner).join(items) + indent + "]" if value else "[]"
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    return write(value, "\n")
 
 
 def _parse_span(text: str, option: str) -> range:
@@ -149,7 +177,7 @@ def run_compute(args) -> int:
             if args.list_diagrams:
                 entry["diagrams"] = [_diagram_payload(*term) for term in terms]
             results.append(entry)
-        print(json.dumps({"engine": ENGINE_VERSION, "results": results}, indent=2, sort_keys=True))
+        print(_indented_json({"engine": ENGINE_VERSION, "results": results}))
     elif args.emit == "csv":
         # quoted only where needed: a label such as "rect:2,2" holds a comma
         rows = csv.writer(sys.stdout, lineterminator="\n")
@@ -217,7 +245,7 @@ def _replay(table, rows, emit: str) -> int:
         "passed": not bad,
     }
     if emit == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_indented_json(payload))
     else:
         for entry in report:
             line = f"{entry['status']:8s} {entry['row']}"
@@ -333,7 +361,7 @@ def run_verify(args) -> int:
         "passed": all(r["passed"] for r in reports),
     }
     if args.emit == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_indented_json(payload))
     else:
         for report in reports:
             mark = "pass" if report["passed"] else "FAIL"
@@ -443,7 +471,7 @@ def main(argv=None) -> int:
     except InvariantError as err:
         print(f"error: {err}", file=sys.stderr)
         if err.trace is not None:
-            print(json.dumps(err.trace, indent=2, sort_keys=True), file=sys.stderr)
+            print(_indented_json(err.trace), file=sys.stderr)
         return 2
     except (PolygonError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -116,6 +116,9 @@ _CACHE_LINE = re.compile(re.escape(_TEMPLATE) % (
     rf"(?P<coeffs>\{{(?:{_TERM}(?:, {_TERM})*)?\}})",
     "(?P<flag>true|false)",
 ))
+# one line of a cache file and its newline: an engine line, or any other,
+# which the load strips, matches again and, failing that, parses in full
+_SCAN = re.compile(rf"(?:{_CACHE_LINE.pattern}|(?P<other>[^\n]*))\n")
 
 
 def _decoded(entry) -> InvariantRecord:
@@ -168,8 +171,8 @@ class InvariantTable:
     """Memoized store of refined invariants with an optional JSONL cache at
     cache_path; no cache path means none, whatever the environment says.
 
-    Loading reads every cache line through one loop.  A line in the exact
-    form _append_cache writes is only indexed by its key text; its value is
+    Loading is one scan of the file's lines.  A line in the exact form
+    _append_cache writes is only indexed by its key text; its value is
     decoded when a lookup first reads it.  Any other line (stale, spaced
     differently or malformed) is parsed in full at load, so every error
     names its line.  With verify_cache each entry's polygon is built from
@@ -383,27 +386,30 @@ class InvariantTable:
         index = self._index
         with open(self._cache_path, encoding="utf-8") as handle:
             try:
-                lines = handle.read().split("\n")
+                content = handle.read()
             except UnicodeDecodeError as err:
                 # err.object holds the whole file: read() decodes it at once
                 number = err.object.count(b"\n", 0, err.start) + 1
                 raise InvariantError(
                     f"malformed cache line {number} of {self._cache_path}: not UTF-8"
                 ) from None
-            tail = lines.pop()
+            end = content.rfind("\n") + 1
+            tail = content[end:]
             if tail.strip():
                 # only the last line can lack its newline: a crash cut it
                 # short, so it is skipped, and the next append cuts it off
                 self._torn_cache_lines += 1
-                end = os.fstat(handle.fileno()).st_size
-                self._torn = (end - len(tail.encode("utf-8")), end)
+                size = os.fstat(handle.fileno()).st_size
+                self._torn = (size - len(tail.encode("utf-8")), size)
         verify, match = self._verify_cache, _CACHE_LINE.fullmatch
-        for number, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        for found in _SCAN.finditer(content, 0, end):
+            line = found["other"]
+            if line is not None:
+                line = line.strip()
+                if not line:
+                    continue
             try:
-                entry = match(line)
+                entry = found if line is None else match(line)
                 if entry is not None:
                     text = entry["key"]
                 else:
@@ -416,6 +422,7 @@ class InvariantTable:
                 if verify:  # a polygon that is not convex fails at its line
                     HPolygon(_key_of(text).polygon)
             except ValueError as err:  # the shape checks leave no TypeError
+                number = content.count("\n", 0, found.start()) + 1
                 raise InvariantError(
                     f"malformed cache line {number} of {self._cache_path}: {err}"
                 ) from None

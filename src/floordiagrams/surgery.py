@@ -31,7 +31,8 @@ def u_coeff(m: int, k: int) -> int:
     """Transfer coefficient u(m, k) = (-1)^k (C(m+k, m) + C(m+k-1, m))."""
     if m < 0 or k < 0:
         raise SurgeryError("u_coeff needs m >= 0 and k >= 0")
-    return (-1) ** k * (binom(m + k, m) + binom(m + k - 1, m))
+    value = comb(m + k, m) + (comb(m + k - 1, m) if k else 0)
+    return -value if k % 2 else value
 
 
 # -- identity checks ---------------------------------------------------------
@@ -42,7 +43,7 @@ BOUND = 12
 
 def u_inversion_sum(m: int, n: int) -> int:
     """sum_{k=0}^{n} u(m, k) C(m + 2n, n - k); equals 1 at n = 0, else 0."""
-    return sum(u_coeff(m, k) * binom(m + 2 * n, n - k) for k in range(n + 1))
+    return sum(u_coeff(m, k) * comb(m + 2 * n, n - k) for k in range(n + 1))
 
 
 def identity_report(identity: str, checked: int, failures: list, **extra) -> dict:
@@ -69,14 +70,17 @@ def check_u_inversion() -> dict:
 
 def mainproof_coeff(l: int, b: int, beta: int) -> int:
     """Folded coefficient C(2l-2b, l-2beta) + 2 sum_{k>=1} (-1)^k C(2l-2b, l-k-2beta)."""
-    total = binom(2 * l - 2 * b, l - 2 * beta)
-    for k in range(1, l + 1):
-        total += 2 * (-1) ** k * binom(2 * l - 2 * b, l - k - 2 * beta)
+    n, j = 2 * l - 2 * b, l - 2 * beta
+    total = binom(n, j)
+    # only the k with 0 <= j - k <= n have a nonzero binomial
+    for k in range(max(1, j - n), min(l, j) + 1):
+        term = 2 * comb(n, j - k)
+        total += -term if k % 2 else term
     return total
 
 
 def mainproof_sum(l: int, b: int) -> int:
-    return sum(mainproof_coeff(l, b, beta) * binom(b, beta) for beta in range(b + 1))
+    return sum(mainproof_coeff(l, b, beta) * comb(b, beta) for beta in range(b + 1))
 
 
 def check_mainproof_coeffs() -> dict:

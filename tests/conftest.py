@@ -1,5 +1,8 @@
 import ast
+import importlib.util
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -24,6 +27,17 @@ def octagon() -> HPolygon:
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "OCTAGON_VERTICES"
     )
     return HPolygon(vertices)
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's workload module, perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # its dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

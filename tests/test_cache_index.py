@@ -10,6 +10,7 @@ loads, answers and fails as it does when every line is parsed in full.
 import importlib.util
 import io
 import json
+import os
 import re
 import sys
 import tempfile
@@ -396,3 +397,133 @@ def test_of_two_bad_lines_the_error_names_the_first(tmp_path, verify):
     with pytest.raises(InvariantError) as info:
         InvariantTable(cache_path=str(path), verify_cache=verify)
     assert str(info.value).startswith(f"malformed cache line {2 if verify else 3} of {path}: ")
+
+
+# -- the scan against a loop over the split lines -----------------------------
+
+
+def _load_line_by_line(self):
+    """InvariantTable._load_cache as one loop over the file's text split at
+    each newline, stripping and matching line by line: the reference that
+    the one-scan load must agree with, records, counts and errors alike."""
+    index = self._index
+    with open(self._cache_path, encoding="utf-8") as handle:
+        try:
+            lines = handle.read().split("\n")
+        except UnicodeDecodeError as err:
+            number = err.object.count(b"\n", 0, err.start) + 1
+            raise InvariantError(
+                f"malformed cache line {number} of {self._cache_path}: not UTF-8"
+            ) from None
+        tail = lines.pop()
+        if tail.strip():
+            self._torn_cache_lines += 1
+            end = os.fstat(handle.fileno()).st_size
+            self._torn = (end - len(tail.encode("utf-8")), end)
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            entry = invariants._CACHE_LINE.fullmatch(line)
+            if entry is not None:
+                text = entry["key"]
+            else:
+                parsed = invariants._parse_cache_line(line)
+                if parsed is None:
+                    self._stale_cache_lines += 1
+                    continue
+                key, entry = parsed
+                text = self._key_text(key)
+            if self._verify_cache:
+                HPolygon(invariants._key_of(text).polygon)
+        except ValueError as err:
+            raise InvariantError(
+                f"malformed cache line {number} of {self._cache_path}: {err}"
+            ) from None
+        known = index.get(text)
+        if known is not None and invariants._decoded(known).value != invariants._decoded(entry).value:
+            raise InvariantError(f"conflicting cache entries for {invariants._key_of(text)}")
+        index[text] = entry
+    if self._verify_cache:
+        scratch = InvariantTable()
+        for key, rec in self.items():
+            fresh = scratch.record(HPolygon(key.polygon), key.genus, key.pairs)
+            if fresh.value != rec.value:
+                raise InvariantError(
+                    f"cache verification failed for {key}: "
+                    f"{rec.value.to_json_dict()} cached, "
+                    f"{fresh.value.to_json_dict()} recomputed"
+                )
+
+
+def _variants(line: str) -> tuple[str, ...]:
+    """line, and the forms of it a scan line by line must treat alike: CRLF,
+    padded, stale, with a 640-digit or a -0 number, or respaced to conflict."""
+    return (
+        line,
+        line + "\r",
+        " \t" + line + "  ",
+        "\x0c" + line + "\x1f",
+        line.replace(invariants.ENGINE_VERSION, "0.0.9", 1),
+        re.sub("(?<=: )[1-9][0-9]*(?=[,}])", "9" * 640, line, count=1),
+        re.sub("(?<=: )[1-9][0-9]*(?=[,}])", "-0", line, count=1),
+        _respaced(_with_coeffs(line, {"0": 7})),
+    )
+
+
+@st.composite
+def mixed_cache_files(draw):
+    """Engine lines mixed with their variants, blanks and malformed lines,
+    each ending in a newline but the last, which may be torn."""
+    pool = [variant for line in ENGINE_LINES for variant in _variants(line)]
+    lines = draw(st.lists(
+        st.one_of(
+            st.sampled_from(ENGINE_LINES),
+            st.sampled_from(pool),
+            st.sampled_from(("", " ", "\t\r", "{", "[]", "\x85")),
+        ),
+        min_size=1, max_size=10,
+    ))
+    text = "".join(line + "\n" for line in lines)
+    tail = draw(st.sampled_from(("", "", ENGINE_LINES[0][:40], " \t", ENGINE_LINES[-1])))
+    return text + tail
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mixed_cache_files())
+def test_the_scan_loads_and_answers_as_a_loop_over_the_lines(text):
+    requests = FILE_REQUESTS + (["cache", "verify"],)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        scanned = _outcome(path, text, requests)
+        with mock.patch.object(InvariantTable, "_load_cache", _load_line_by_line):
+            looped = _outcome(path, text, requests)
+    assert scanned == looped
+
+
+@pytest.mark.parametrize("bad", ("{", "[]", "  {\r", "-0", _respaced(ENGINE_LINES[1])[:-1]))
+def test_an_error_names_the_line_the_loop_names(tmp_path, bad):
+    path = tmp_path / "cache.jsonl"
+    lines = [ENGINE_LINES[0] + "\r", " ", bad, ENGINE_LINES[1], "{"]
+    text = "".join(line + "\n" for line in lines)
+    outcomes = []
+    for load in (InvariantTable._load_cache, _load_line_by_line):
+        with mock.patch.object(InvariantTable, "_load_cache", load):
+            outcomes.append(_outcome(path, text, FILE_REQUESTS))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0].startswith(f"malformed cache line 3 of {path}: ")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(cache_files(), mixed_cache_files()))
+def test_the_scan_loads_and_answers_as_when_every_line_is_parsed(text):
+    # the scan's engine branch and the stripped line's match both disabled,
+    # so every line takes _parse_cache_line
+    every_line_parsed = {"_CACHE_LINE": NEVER, "_SCAN": re.compile(r"(?P<other>[^\n]*)\n")}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        scanned = _outcome(path, text, FILE_REQUESTS)
+        with mock.patch.multiple(invariants, **every_line_parsed):
+            parsed = _outcome(path, text, FILE_REQUESTS)
+    assert scanned == parsed

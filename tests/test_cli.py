@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floordiagrams import cli, floordiag, surgery
 from floordiagrams.invariants import (
@@ -237,6 +240,65 @@ def test_compute_json(capsys):
     assert result["invariant"] == {"-1": 1, "0": 10, "1": 1}
     assert result["vertices"] == [[0, 0], [2, 0], [2, 2], [0, 2]]
     assert result["extrapolated"] is False
+
+
+# -- the indented JSON writer ---------------------------------------------------
+
+# quotes, backslashes, control and non-ASCII characters, lone surrogates too
+_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+    st.characters(exclude_categories=()),
+), max_size=6)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(2**200), 2**200), _TEXT),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_the_indented_writer_is_json_dumps(value):
+    assert cli._indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", (
+    1.5, [0.0], {"a": {1, 2}}, frozenset(), {1: "a"}, {"a": {None: 1}}, [{True: 1}], {b"a": 1},
+))
+def test_the_indented_writer_refuses_what_the_cli_never_emits(value):
+    # json.dumps prints some of these (a float, an int key as a string): a
+    # payload that holds one fails loudly instead of printing other bytes
+    with pytest.raises(TypeError):
+        cli._indented_json(value)
+
+
+def test_every_indented_payload_of_the_workloads_is_json_dumps(monkeypatch, tmp_path, workloads):
+    # every --emit json request and every stuck trace of the benchmark's
+    # set-ups and passes, with the cache files they run against
+    writer, payloads = cli._indented_json, []
+
+    def recording(value):
+        payloads.append(value)
+        return writer(value)
+
+    monkeypatch.setattr(cli, "_indented_json", recording)
+    octagon = tmp_path / "octagon.json"
+    octagon.write_text(json.dumps({"vertices": workloads.OCTAGON_VERTICES}), encoding="utf-8")
+    for workload in workloads.WORKLOADS.values():
+        cache = tmp_path / f"{workload.name}.jsonl"
+        for request in workload.populate + workload.requests:
+            before = len(payloads)
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                cli.main(list(request.resolve(str(octagon), str(cache))))
+            emits = request.emit == "json" or request.kind == "stuck"
+            assert (len(payloads) > before) == emits, request.label()
+    assert len(payloads) > 40
+    for value in payloads:
+        assert writer(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_compute_csv(capsys):

@@ -56,6 +56,25 @@ def test_mainproof_coefficients():
     assert report["failures"] == []
 
 
+def test_the_sums_are_their_stated_terms_summed():
+    # the reference: every term as binom and (-1) ** k state it, past the
+    # verify bound and where a binomial vanishes or b > l
+    for m in range(16):
+        for k in range(16):
+            assert u_coeff(m, k) == (-1) ** k * (binom(m + k, m) + binom(m + k - 1, m))
+        for n in range(-2, 16):
+            terms = [u_coeff(m, k) * binom(m + 2 * n, n - k) for k in range(n + 1)]
+            assert u_inversion_sum(m, n) == sum(terms)
+    for l in range(-1, 16):
+        for b in range(-1, l + 3):
+            for beta in range(-1, b + 3):
+                n, j = 2 * l - 2 * b, l - 2 * beta
+                terms = [2 * (-1) ** k * binom(n, j - k) for k in range(1, l + 1)]
+                assert mainproof_coeff(l, b, beta) == binom(n, j) + sum(terms)
+            terms = [mainproof_coeff(l, b, beta) * binom(b, beta) for beta in range(b + 1)]
+            assert mainproof_sum(l, b) == sum(terms)
+
+
 # the Lagrangian sphere class (-1, 1) of the quadric's bidegree lattice
 QH_SPHERE = (-1, 1)
 
