@@ -6,18 +6,19 @@
 Exports the committed files of PARENT (any git revision) with `git archive`
 into a temporary directory, so the repository's own git state is left
 untouched, then runs `perfbench/run.py --trace 0` there and in the working
-tree, once each per pair.  Pairs alternate which side runs first.  For every
-workload and every end-to-end metric in BENCHMARK.json it prints each side's
-median and quartiles, the pairs the working tree won (ties count for
-neither), and whether a gain may be claimed: at least nine tenths of the
-pairs won, and the medians differing by more than the parent's interquartile
-range.
+tree, once each per pair, each run with an empty bytecode cache of its own.
+Pairs alternate which side runs first.  For every workload and every
+end-to-end metric in BENCHMARK.json it prints each side's median and
+quartiles, the pairs the working tree won (ties count for neither), and
+whether a gain may be claimed: at least nine tenths of the pairs won, and
+the medians differing by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -53,12 +54,18 @@ def gain_claimed(parent, change, better: str) -> bool:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One benchmark run in tree: {metric: value}, plus "correct"."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
-    )
+    """One benchmark run in tree: {metric: value}, plus "correct".
+
+    Bytecode goes to a new, empty PYTHONPYCACHEPREFIX, so every run compiles
+    the package afresh and a __pycache__ left in either tree is never read.
+    """
+    with tempfile.TemporaryDirectory() as pycache:
+        done = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPYCACHEPREFIX": pycache},
+        )
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"no result from {tree} on {workload}: {done.stderr.strip()}")

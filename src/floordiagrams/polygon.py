@@ -56,13 +56,18 @@ class HPolygon:
 
     Vertices are stored counterclockwise starting from the lexicographically
     smallest one, translated so the bounding box corner sits at the origin.
-    Instances are immutable value objects.  Twice the area and the boundary
-    steps, each edge's (primitive direction, lattice length) from vertex i to
-    vertex i + 1, are computed on construction; the canonical key and the
-    self-intersections are computed on first use and kept in their slots.
+    Instances are immutable value objects.  Slots filled on construction:
+    the vertices, twice the area, the boundary steps (each edge's (primitive
+    direction, lattice length) from vertex i to vertex i + 1), the height and
+    the boundary lattice count.  The canonical key and the self-intersections
+    are computed on first use and kept in their slots.
+
+    HPolygon(vertices) checks its input in full.  The named shapes and the
+    corner cuts are derived from vertices and steps they already know, and
+    skip those checks.
     """
 
-    __slots__ = ("_vertices", "_area2", "_steps", "_key", "_degrees")
+    __slots__ = ("_vertices", "_area2", "_steps", "_height", "_boundary", "_key", "_degrees")
 
     def __init__(self, vertices):
         pts = list(vertices)
@@ -86,16 +91,42 @@ class HPolygon:
         for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
             g = gcd(x1 - x0, y1 - y0)
             steps.append((((x1 - x0) // g, (y1 - y0) // g), g))
-        if any(_det(steps[i - 1][0], step) <= 0 for i, (step, _) in enumerate(steps)):
+        # left turns alone admit a loop that winds twice; a loop that winds
+        # once goes up, then down: its steps' vertical signs change twice
+        ups = [dy > 0 for (_, dy), _ in steps if dy]
+        changes = sum(a != b for a, b in zip(ups, ups[1:] + ups[:1]))
+        if changes != 2 or any(_det(steps[i - 1][0], s) <= 0 for i, (s, _) in enumerate(steps)):
             raise PolygonError("vertices do not bound a convex polygon")
         for (dx, dy), g in steps:
             if abs(dy) > 1:
                 raise PolygonError(
                     "not h-transverse: edge direction (%d, %d)" % (dx * g, dy * g)
                 )
-        object.__setattr__(self, "_vertices", tuple(pts))
-        object.__setattr__(self, "_area2", abs(area2))
-        object.__setattr__(self, "_steps", tuple(steps))
+        self._fill(tuple(pts), abs(area2), tuple(steps), max(y for _, y in pts),
+                   sum(g for _, g in steps))
+
+    def _fill(self, *values):
+        """Fill the slots of the facts kept from construction."""
+        for slot, value in zip(("_vertices", "_area2", "_steps", "_height", "_boundary"), values):
+            object.__setattr__(self, slot, value)
+
+    @classmethod
+    def _derived(cls, ring, area2: int, boundary: int) -> "HPolygon":
+        """The polygon whose counterclockwise boundary leaves each vertex p
+        along the step (direction, length) of each (p, step) of ring, with
+        twice its area and its boundary lattice count given: normalized but
+        not checked.  A step of length 0 is dropped with its vertex."""
+        pts = [p for p, (_, length) in ring if length]
+        steps = [step for _, step in ring if step[1]]
+        xs, ys = zip(*pts)
+        xmin, ymin = min(xs), min(ys)
+        if xmin or ymin:
+            pts = [(x - xmin, y - ymin) for x, y in pts]
+        start = pts.index(min(pts))
+        polygon = object.__new__(cls)
+        polygon._fill(tuple(pts[start:] + pts[:start]), area2,
+                      tuple(steps[start:] + steps[:start]), max(ys) - ymin, boundary)
+        return polygon
 
     def __setattr__(self, *args):
         raise AttributeError("HPolygon is immutable")
@@ -108,11 +139,21 @@ class HPolygon:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _named(cls, ring, area2: int, boundary: int) -> "HPolygon":
+        """A named shape from its ring (see _derived); a size that is not an
+        integer goes to HPolygon(vertices), which names the vertex."""
+        if not all(type(c) is int for p, _ in ring for c in p):
+            return cls([p for p, _ in ring])
+        return cls._derived(ring, area2, boundary)
+
+    @classmethod
     def rectangle(cls, a: int, b: int) -> "HPolygon":
         """Axis-parallel a-by-b rectangle (bidegree (a, b) classes)."""
         if a < 1 or b < 1:
             raise PolygonError("rectangle sides must be >= 1")
-        return cls([(0, 0), (a, 0), (a, b), (0, b)])
+        return cls._named([((0, 0), ((1, 0), a)), ((a, 0), ((0, 1), b)),
+                           ((a, b), ((-1, 0), a)), ((0, b), ((0, -1), b))],
+                          2 * a * b, 2 * (a + b))
 
     @classmethod
     def sigma2_trapezoid(cls, a: int, b: int) -> "HPolygon":
@@ -124,14 +165,17 @@ class HPolygon:
         """
         if a < 1 or b < 0:
             raise PolygonError("trapezoid needs a >= 1 and b >= 0")
-        return cls([(0, 0), (2 * a + b, 0), (b, a), (0, a)])
+        return cls._named([((0, 0), ((1, 0), 2 * a + b)), ((2 * a + b, 0), ((-2, 1), a)),
+                           ((b, a), ((-1, 0), b)), ((0, a), ((0, -1), a))],
+                          2 * a * (a + b), 4 * a + 2 * b)
 
     @classmethod
     def p2_triangle(cls, d: int) -> "HPolygon":
         """Triangle with legs d: degree-d plane curves."""
         if d < 1:
             raise PolygonError("degree must be >= 1")
-        return cls([(0, 0), (d, 0), (0, d)])
+        return cls._named([((0, 0), ((1, 0), d)), ((d, 0), ((-1, 1), d)),
+                           ((0, d), ((0, -1), d))], d * d, 3 * d)
 
     @classmethod
     def from_spec(cls, spec: str) -> "HPolygon":
@@ -169,14 +213,14 @@ class HPolygon:
 
     @property
     def height(self) -> int:
-        return max(y for _, y in self._vertices)
+        return self._height
 
     @property
     def area2(self) -> int:
         return self._area2
 
     def boundary_lattice_count(self) -> int:
-        return sum(length for _, length in self._steps)
+        return self._boundary
 
     def interior_lattice_count(self) -> int:
         # Pick's theorem
@@ -270,17 +314,44 @@ class HPolygon:
             i for i, d in enumerate(self.self_intersections()) if d is not None and d < 0
         )
 
-    def _corner_fit(self, i: int):
-        """Primitive directions of the edges from vertex i to its next and
-        previous vertex, once both have lattice length >= 2 and the corner is
-        unimodular; raises PolygonError otherwise."""
-        (u, ulen), ((dx, dy), wlen) = self._steps[i], self._steps[i - 1]
-        if ulen < 2 or wlen < 2:
-            raise PolygonError("cut of depth 2 does not fit at this corner")
-        w = (-dx, -dy)
-        if abs(_det(u, w)) != 1:
-            raise PolygonError("corner is not unimodular")
-        return u, w
+    def _corner_fit(self, i: int) -> str | None:
+        """Why a depth-2 cut does not fit at vertex i, from its two steps: an
+        edge of lattice length below 2, or a corner that is not unimodular;
+        None when it fits."""
+        (u, ulen), (e, elen) = self._steps[i], self._steps[i - 1]
+        if ulen < 2 or elen < 2:
+            return "cut of depth 2 does not fit at this corner"
+        if _det(e, u) != 1:
+            return "corner is not unimodular"
+        return None
+
+    def _cut(self, i: int) -> "HPolygon | str":
+        """The polygon left by the depth-2 cut at vertex i, or the text of the
+        PolygonError that corner_cut raises there.
+
+        The cut takes 2 lattice steps off each edge at the corner and joins
+        their new ends by an edge of lattice length 2 in direction u + e, u
+        the outgoing and e the incoming direction: primitive, as det(e, u) =
+        1, and strictly between e and u, so no two edges become collinear.
+        """
+        refusal = self._corner_fit(i)
+        if refusal:
+            return refusal
+        negative = self.negative_edges()
+        if i in negative or (i - 1) % len(self._steps) in negative:
+            return "corner touches a divisor of negative self-intersection"
+        if self._area2 == 4:  # the cut triangle is all of it
+            return "polygon must have positive area"
+        (x, y), (u, ulen), (e, elen) = self._vertices[i], self._steps[i], self._steps[i - 1]
+        new = (u[0] + e[0], u[1] + e[1])
+        if abs(new[1]) > 1:  # no other edge can be steep
+            return "not h-transverse: edge direction (%d, %d)" % (2 * new[0], 2 * new[1])
+        ring = [((x - 2 * e[0], y - 2 * e[1]), (new, 2)),
+                ((x + 2 * u[0], y + 2 * u[1]), (u, ulen - 2))]
+        ring += zip(self._vertices[i + 1:] + self._vertices[:i],
+                    self._steps[i + 1:] + self._steps[:i])
+        ring[-1] = (ring[-1][0], (e, elen - 2))
+        return HPolygon._derived(ring, self._area2 - 4, self._boundary - 2)
 
     def corner_cut(self, corner):
         """Chop a lattice triangle of depth 2 off one corner.
@@ -298,30 +369,15 @@ class HPolygon:
             i = self._vertices.index(tuple(corner))
         except ValueError:
             raise PolygonError(f"{corner!r} is not a vertex") from None
-        u, w = self._corner_fit(i)
-        negative = self.negative_edges()
-        n = len(self._vertices)
-        if i in negative or (i - 1) % n in negative:
-            raise PolygonError("corner touches a divisor of negative self-intersection")
-        v = self._vertices[i]
-        p_prev = (v[0] + 2 * w[0], v[1] + 2 * w[1])
-        p_next = (v[0] + 2 * u[0], v[1] + 2 * u[1])
-        pts = list(self._vertices)
-        pts[i : i + 1] = [p_prev, p_next]
-        result = HPolygon(pts)
-        if result.area2 != self.area2 - 4:
-            raise PolygonError("corner cut did not remove a triangle of area 2")
-        return result
+        cut = self._cut(i)
+        if type(cut) is str:
+            raise PolygonError(cut)
+        return cut
 
     def admissible_cuts(self) -> tuple:
         """(corner, cut polygon) for every vertex where corner_cut succeeds."""
-        good = []
-        for v in self._vertices:
-            try:
-                good.append((v, self.corner_cut(v)))
-            except PolygonError:
-                continue
-        return tuple(good)
+        cuts = ((v, self._cut(i)) for i, v in enumerate(self._vertices))
+        return tuple((v, cut) for v, cut in cuts if type(cut) is not str)
 
     def admissible_cut_corners(self) -> tuple[tuple[int, int], ...]:
         """Vertices where corner_cut succeeds."""
@@ -334,13 +390,7 @@ class HPolygon:
         corner fits a depth-2 cut at all, or cuts would fit geometrically but
         every candidate corner touches a negative divisor.
         """
-        for i in range(len(self._vertices)):
-            try:
-                self._corner_fit(i)
-            except PolygonError:
-                continue
-            return True
-        return False
+        return any(self._corner_fit(i) is None for i in range(len(self._steps)))
 
     # -- toric surface shape ------------------------------------------------
 

@@ -45,6 +45,9 @@ def test_traced_requests_reach_every_wrapper(capsys):
             cli.main(["compute", "--polygon", "rect:2,2", "--pairs", "0..3"]),
             cli.main(["compute", "--polygon", "rect:3,3", "--pairs", "3"]),  # stuck
         )
+        # the engine builds named shapes and cuts from their boundary steps,
+        # past HPolygon.__init__ and corner_cut; a direct call reaches both
+        polygon.HPolygon([(0, 0), (2, 0), (2, 2), (0, 2)]).corner_cut((0, 0))
     finally:
         tracer.uninstall()
     capsys.readouterr()

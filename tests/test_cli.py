@@ -462,6 +462,9 @@ def test_compute_usage_errors(capsys, tmp_path, monkeypatch):
         ({"vertices": [[0, 0], [2.7, 0], [0, 2.9]]}, "vertex [2.7, 0]"),
         ({"vertices": [[0, 0], [True, 0], [0, 1]]}, "vertex [True, 0]"),
         ({"vertices": [[0, 0], [1, 0, 0], [0, 1]]}, "vertex [1, 0, 0]"),
+        # every turn is a left turn, but the loop winds twice
+        ({"vertices": [[0, 1], [4, 0], [1, 3], [1, 1], [3, 1], [1, 2]]},
+         "vertices do not bound a convex polygon"),
         ('{"rows": [', f"malformed JSON in {spec}"),
     ):
         spec.write_text(data if isinstance(data, str) else json.dumps(data))
@@ -963,6 +966,8 @@ def test_cache_zero_area_lines_of_earlier_builds_are_stale(capsys, tmp_path):
 GEOMETRY_LINES = (
     '{"engine": "0.1.0", "polygon": [[0, 0], [4, 0], [1, 1], [0, 4]], "genus": 0, '
     '"pairs": 0, "coeffs": {"0": 1}, "extrapolated": false}\n',
+    '{"engine": "0.1.0", "polygon": [[0, 1], [4, 0], [1, 3], [1, 1], [3, 1], [1, 2]], '
+    '"genus": 0, "pairs": 0, "coeffs": {"0": 1}, "extrapolated": false}\n',
 )
 
 
@@ -1002,6 +1007,7 @@ GEOMETRY_LINES = (
         "colliding-exponents",
         "three-coordinate-vertex",
         "non-convex-polygon",
+        "doubly-wound-polygon",
     ],
 )
 def test_cache_malformed_line(capsys, tmp_path, bad_line):

@@ -81,6 +81,8 @@ def test_rejects_bad_input():
     # neither convex nor h-transverse: convexity is checked first
     ([(0, 0), (4, 0), (1, 1), (0, 4)], "vertices do not bound a convex polygon"),
     ([(0, 0), (2, 0), (4, 0)], "polygon must have positive area"),
+    # every turn is a left turn, but the loop winds twice
+    ([(0, 1), (4, 0), (1, 3), (1, 1), (3, 1), (1, 2)], "vertices do not bound a convex polygon"),
 ])
 def test_constructor_errors_and_their_order(vertices, message):
     with pytest.raises(PolygonError) as err:
@@ -386,15 +388,18 @@ DERIVED = (
 
 
 def derived_values(polygon):
-    return [getattr(polygon, name)(*args) for name, args in DERIVED] + [polygon.area2]
+    values = [getattr(polygon, name)(*args) for name, args in DERIVED]
+    return values + [polygon.area2, polygon.height]
 
 
 @given(h_transverse_polygons())
 def test_kept_values_equal_a_fresh_computation(polygon):
     # a fresh instance has filled no slot, so each of its values is computed
-    # on the call; the kept values must match it on first and later calls
+    # on the call; the kept values must match it on first and later calls,
+    # on the polygon and on the cuts derived from it
     for _ in range(2):
-        assert derived_values(polygon) == derived_values(HPolygon(polygon.vertices))
+        for shape in (polygon, *(cut for _, cut in polygon.admissible_cuts())):
+            assert derived_values(shape) == derived_values(HPolygon(shape.vertices))
     edges = edges_of(polygon)
     assert polygon.area2 == sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges)
     assert polygon.boundary_lattice_count() == sum(
@@ -417,7 +422,8 @@ def test_each_value_is_computed_once_per_instance(monkeypatch):
     monkeypatch.setattr(HPolygon, "_keep", counting_keep)
     monkeypatch.setattr(HPolygon, "edge_rays", counting_rays)
     trap = HPolygon.sigma2_trapezoid(2, 2)
-    assert fills == []  # the area and steps come on construction, without a fill
+    # the area, steps, height and boundary count come on construction, without a fill
+    assert fills == []
     for _ in range(3):
         derived_values(trap)
         trap.corner_cut((0, 0))
@@ -434,3 +440,81 @@ def test_filled_slots_change_no_equality_or_immutability():
         with pytest.raises(AttributeError, match="immutable"):
             setattr(full, attr, None)
     assert derived_values(full) == derived_values(bare)
+
+
+# -- shapes derived from known steps against the validating constructor -------
+
+
+def facts(polygon):
+    """What construction fills, slot by slot."""
+    return (polygon.vertices, polygon.area2, polygon._steps, polygon.height,
+            polygon.boundary_lattice_count())
+
+
+CORNER_REFUSALS = {
+    "does not fit": "cut of depth 2 does not fit at this corner",
+    "not unimodular": "corner is not unimodular",
+}
+
+
+def cut_by_the_constructor(polygon, i):
+    """The polygon a depth-2 cut at vertex i leaves, or the error text: the
+    corner's refusals, then HPolygon of the vertex list with the corner
+    replaced by the two points 2 lattice steps along its edges."""
+    refusal = room_refusal(polygon, i)
+    if refusal:
+        return CORNER_REFUSALS[refusal]
+    vertices, n = list(polygon.vertices), len(polygon.vertices)
+    if {i, (i - 1) % n} & set(polygon.negative_edges()):
+        return "corner touches a divisor of negative self-intersection"
+    (x, y), ends = vertices[i], []
+    for px, py in (vertices[i - 1], vertices[(i + 1) % n]):
+        g = gcd(px - x, py - y)
+        ends.append((x + 2 * (px - x) // g, y + 2 * (py - y) // g))
+    try:
+        return HPolygon(vertices[:i] + ends + vertices[i + 1:])
+    except PolygonError as err:
+        return str(err)
+
+
+def check_cuts_against_the_constructor(polygon, depth):
+    """corner_cut at every vertex, and its cuts' cuts down to depth, against
+    cut_by_the_constructor: equal facts, or the same error text."""
+    assert facts(polygon) == facts(HPolygon(polygon.vertices))
+    for i, corner in enumerate(polygon.vertices):
+        want = cut_by_the_constructor(polygon, i)
+        try:
+            got = polygon.corner_cut(corner)
+        except PolygonError as err:
+            assert str(err) == want, corner
+            continue
+        assert facts(got) == facts(want), corner
+        if depth > 1:
+            check_cuts_against_the_constructor(got, depth - 1)
+
+
+NAMED_VERTICES = (
+    [(HPolygon.rectangle(a, b), [(0, 0), (a, 0), (a, b), (0, b)])
+     for a in range(1, 6) for b in range(1, 6)]
+    + [(HPolygon.sigma2_trapezoid(a, b), [(0, 0), (2 * a + b, 0), (b, a), (0, a)])
+       for a in range(1, 5) for b in range(4)]
+    + [(HPolygon.p2_triangle(d), [(0, 0), (d, 0), (0, d)]) for d in range(1, 8)]
+)
+
+
+def test_named_shapes_and_their_cuts_equal_the_validating_constructor():
+    for polygon, vertices in NAMED_VERTICES:
+        assert facts(polygon) == facts(HPolygon(vertices))
+        check_cuts_against_the_constructor(polygon, 3)
+    # a size that is not an integer is refused by the vertex it lands in
+    with pytest.raises(PolygonError, match=r"^vertex \(2\.5, 0\) is not a pair of integers$"):
+        HPolygon.rectangle(2.5, 1)
+
+
+@given(h_transverse_polygons())
+def test_cuts_equal_the_validating_constructor(polygon):
+    check_cuts_against_the_constructor(polygon, 3)
+    assert polygon.admissible_cut_corners() == tuple(
+        corner for i, corner in enumerate(polygon.vertices)
+        if isinstance(cut_by_the_constructor(polygon, i), HPolygon)
+    )

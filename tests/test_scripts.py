@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
@@ -55,6 +56,25 @@ def test_ab_pairs_report_names_each_metric_with_both_sides():
     assert wall.split() == ["pair-columns", "wall_s", "0.25", "[0.225,", "0.275]",
                             "0.1", "[0.1,", "0.1]", "2/2", "gain"]
     assert rss.split()[-1] == "0/2"
+
+
+def test_ab_pairs_runs_each_side_with_an_empty_bytecode_cache(monkeypatch, tmp_path):
+    # a __pycache__ left in one tree would spare only that side its compile
+    ab = load_ab_pairs()
+    prefixes = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
+        assert prefix.is_dir() and not any(prefix.iterdir())
+        prefixes.append(prefix)
+        result = {"metrics": {"wall_s": {"value": 0.1}}, "correct": True}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    for tree in (tmp_path / "parent", ab.ROOT):
+        assert ab.run_once(tree, "warm-cache", 1, 1) == {"wall_s": 0.1, "correct": True}
+    assert prefixes[0] != prefixes[1]
+    assert not any(prefix.exists() for prefix in prefixes)
 
 
 @pytest.mark.parametrize(
