@@ -25,7 +25,6 @@ from itertools import product
 from math import comb, factorial
 
 from .laurent import LaurentPoly, mul_add, quantum_square
-from .polygon import HPolygon
 
 # tallest polygon accepted: not for the transfer walk (README times it), but
 # enumerate_diagrams builds every diagram, 2.3 times more per row of rect:2,h.
@@ -451,14 +450,14 @@ def _close_step(states: dict, h: int, hi: int, need: int, slopes: tuple, K: int)
     return out
 
 
-def _walk(polygon, widths: tuple, lo: int, hi: int) -> dict:
+def _walk(widths: tuple, end_slopes: tuple, lo: int, hi: int) -> dict:
     """{labelled: value} for the diagrams with lo..hi bottom ends and elevators
-    in all, by the walk of refined_invariants; widths is the floor profile."""
+    in all, by the walk of refined_invariants on a floor profile and end slopes."""
     h = len(widths) - 1
     if h == 1:  # the one floor takes its bottom ends in labelled! orders: the sum is 1
         return {widths[0]: LaurentPoly.one()} if lo <= widths[0] else {}
     K = hi - lo + 1 if widths[-1] else 1  # terms e*K + j, j = L - lo
-    slopes = _slope_moves(polygon.end_slopes())
+    slopes = _slope_moves(end_slopes)
     unplaced = (((1, 0), widths[0]),) if widths[0] else ()
     states = {(unplaced, (), widths[0], widths[-1], 0): dict.fromkeys(range(K), 1)}
     for f in range(1, h - 1):
@@ -519,7 +518,8 @@ def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
         raise DiagramError("genus must be >= 0")
     if polygon.height > MAX_HEIGHT:
         raise DiagramError(f"height {polygon.height} is above the bound of {MAX_HEIGHT}")
-    widths, spans, top = polygon.floor_profile(), [], polygon.interior_lattice_count()
+    widths, sides = polygon.floor_profile(), polygon.end_slopes()
+    spans, top = [], polygon.interior_lattice_count()
     for g in genera:  # the runs of consecutive genera up to the interior count
         if g <= top and spans and spans[-1][1] == g - 1:
             spans[-1][1] = g
@@ -527,12 +527,12 @@ def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
             spans.append([g, g])
     single = all(lo == hi for lo, hi in spans)
     if widths[0] - widths[-1] >= 2 * polygon.height and (widths[-1] or single):
-        polygon = HPolygon([(x, polygon.height - y) for x, y in polygon.vertices])
-        widths = widths[::-1]
+        # (x, y) -> (x, h - y) on the shape: rows reversed, end slopes negated
+        widths, sides = widths[::-1], tuple(tuple(sorted(-s for s in side)) for side in sides)
     base = widths[0] + polygon.height - 1  # labelled elements at genus 0
     out = dict.fromkeys(genera, LaurentPoly.zero())
     for lo, hi in spans:
-        for labelled, value in _walk(polygon, widths, base + lo, base + hi).items():
+        for labelled, value in _walk(widths, sides, base + lo, base + hi).items():
             if labelled - base in out:
                 out[labelled - base] = value
     return out

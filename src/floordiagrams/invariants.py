@@ -66,7 +66,7 @@ def max_pairs(polygon) -> int:
 
 
 class InvariantKey(NamedTuple):
-    """Canonical table key; polygon part is the canonical vertex tuple."""
+    """Table key; its polygon part is the vertex tuple of the polygon as given."""
 
     polygon: tuple
     genus: int
@@ -87,7 +87,7 @@ class InvariantKey(NamedTuple):
             raise InvariantError(
                 f"pairs = {pairs} exceeds half the point count of {polygon!r}"
             )
-        return cls(polygon.canonical_key(), genus, pairs)
+        return cls(polygon.vertices, genus, pairs)
 
 
 class InvariantRecord(NamedTuple):
@@ -303,7 +303,7 @@ class InvariantTable:
         memo: dict[tuple, tuple[LaurentPoly, ...]] = {}
 
         def sweep(poly, s) -> tuple[LaurentPoly, ...]:
-            key = (poly.canonical_key(), s)
+            key = (poly, s)
             try:
                 return memo[key]
             except KeyError:
@@ -327,16 +327,16 @@ class InvariantTable:
         Each node holds the polygon, its pair count and its value or error.
         Above pairs = 0 it also holds the cut "corner" (None when the
         correction term is an empty count) and "children": the same polygon
-        and its cut, one pair lower.  The walk is memoized on (canonical
-        polygon, pairs): only the first occurrence of a key is expanded, and
-        later ones are "repeat" nodes without children.  A blocked node, where
+        and its cut, one pair lower.  The walk is memoized on (polygon,
+        pairs): only the first occurrence of a key is expanded, and later
+        ones are "repeat" nodes without children.  A blocked node, where
         no corner admits the cut of a nonempty class, ends its branch.
         """
         visited: set[tuple] = set()
 
         def walk(poly, s) -> dict:
             node = {"polygon": [list(v) for v in poly.vertices], "pairs": s}
-            key = (poly.canonical_key(), s)
+            key = (poly, s)
             if key in visited:
                 node["repeat"] = True
                 return node

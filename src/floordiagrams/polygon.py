@@ -82,11 +82,6 @@ class HPolygon:
             raise PolygonError("polygon must have positive area")
         if area2 < 0:
             pts.reverse()
-        xmin = min(x for x, _ in pts)
-        ymin = min(y for _, y in pts)
-        pts = [(x - xmin, y - ymin) for x, y in pts]
-        start = pts.index(min(pts))
-        pts = pts[start:] + pts[:start]
         steps = []
         for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
             g = gcd(x1 - x0, y1 - y0)
@@ -97,35 +92,35 @@ class HPolygon:
         changes = sum(a != b for a, b in zip(ups, ups[1:] + ups[:1]))
         if changes != 2 or any(_det(steps[i - 1][0], s) <= 0 for i, (s, _) in enumerate(steps)):
             raise PolygonError("vertices do not bound a convex polygon")
-        for (dx, dy), g in steps:
+        self._fill(zip(pts, steps), abs(area2), sum(g for _, g in steps))
+        # the first steep edge in normal order is the one an error names
+        for (dx, dy), g in self._steps:
             if abs(dy) > 1:
                 raise PolygonError(
                     "not h-transverse: edge direction (%d, %d)" % (dx * g, dy * g)
                 )
-        self._fill(tuple(pts), abs(area2), tuple(steps), max(y for _, y in pts),
-                   sum(g for _, g in steps))
 
-    def _fill(self, *values):
-        """Fill the slots of the facts kept from construction."""
-        for slot, value in zip(("_vertices", "_area2", "_steps", "_height", "_boundary"), values):
-            object.__setattr__(self, slot, value)
-
-    @classmethod
-    def _derived(cls, ring, area2: int, boundary: int) -> "HPolygon":
-        """The polygon whose counterclockwise boundary leaves each vertex p
-        along the step (direction, length) of each (p, step) of ring, with
-        twice its area and its boundary lattice count given: normalized but
-        not checked.  A step of length 0 is dropped with its vertex."""
-        pts = [p for p, (_, length) in ring if length]
-        steps = [step for _, step in ring if step[1]]
+    def _fill(self, ring, area2: int, boundary: int):
+        """Fill the slots kept from construction, normalized but not checked:
+        the boundary leaves each vertex p of ring counterclockwise along its
+        step (direction, length); a step of length 0 is dropped with its vertex."""
+        ring = [(p, step) for p, step in ring if step[1]]
+        pts, steps = [p for p, _ in ring], [step for _, step in ring]
         xs, ys = zip(*pts)
         xmin, ymin = min(xs), min(ys)
         if xmin or ymin:
             pts = [(x - xmin, y - ymin) for x, y in pts]
         start = pts.index(min(pts))
+        values = (tuple(pts[start:] + pts[:start]), area2, tuple(steps[start:] + steps[:start]),
+                  max(ys) - ymin, boundary)
+        for slot, value in zip(("_vertices", "_area2", "_steps", "_height", "_boundary"), values):
+            object.__setattr__(self, slot, value)
+
+    @classmethod
+    def _derived(cls, ring, area2: int, boundary: int) -> "HPolygon":
+        """The polygon that _fill fills from ring, area2 and boundary."""
         polygon = object.__new__(cls)
-        polygon._fill(tuple(pts[start:] + pts[:start]), area2,
-                      tuple(steps[start:] + steps[:start]), max(ys) - ymin, boundary)
+        polygon._fill(ring, area2, boundary)
         return polygon
 
     def __setattr__(self, *args):
@@ -263,7 +258,7 @@ class HPolygon:
     # -- symmetries and keys ----------------------------------------------
 
     def canonical_key(self) -> tuple[tuple[int, int], ...]:
-        """Representative of the polygon up to x-reflection, for table keys.
+        """Representative of the polygon up to x-reflection.
 
         The mirror image x -> xmax - x is already normalized once its
         vertices are reversed back to counterclockwise order and rotated to

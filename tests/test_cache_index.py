@@ -285,12 +285,10 @@ def _verified(path):
         return str(err)
 
 
-@pytest.mark.xfail(strict=True, raises=InvariantError, reason=(
-    "an extrapolated pair value can depend on the cut corner, and the table "
-    "keys it by the polygon up to reflection: verifying recomputes the "
-    "canonical mirror image, q^-2 + 6q^-1 + 18 + 6q + q^2, where the engine "
-    "wrote 20 for the other image"))
 def test_a_cache_the_engine_wrote_verifies(tmp_path):
+    # an extrapolated pair value can depend on the cut corner: the mirror
+    # image gives q^-2 + 6q^-1 + 18 + 6q + q^2 where this one gives 20, so
+    # the line keys the image the engine computed, which verifying rebuilds
     path = tmp_path / "cache.jsonl"
     polygon = HPolygon([(0, 2), (2, 0), (4, 0), (1, 3)])
     assert polygon.vertices != polygon.canonical_key()

@@ -332,6 +332,37 @@ def test_transfer_walk_matches_enumeration_on_tall_polygons(spec):
         assert refined_invariant(poly, genus) == enumerated_sum(poly, genus), genus
 
 
+def test_the_flip_is_a_shape_operation():
+    # the walk turns a polygon upside down, (x, y) -> (x, h - y), by its
+    # floor profile reversed and each side's end slopes negated and sorted
+    specs = (
+        [f"p2:{d}" for d in range(1, 7)]
+        + [f"rect:{a},{b}" for a in range(1, 5) for b in range(1, 5)]
+        + [f"sigma2:{a},{b}" for a in range(1, 5) for b in range(4) if a + b <= 6]
+    )
+    for poly in small_polygons() + [HPolygon.from_spec(spec) for spec in specs]:
+        flipped = HPolygon([(x, poly.height - y) for x, y in poly.vertices])
+        assert poly.floor_profile()[::-1] == flipped.floor_profile(), poly
+        negated = tuple(tuple(sorted(-slope for slope in side)) for side in poly.end_slopes())
+        assert negated == flipped.end_slopes(), poly
+
+
+def test_a_flipped_walk_checks_no_polygon(capsys, monkeypatch):
+    # sigma2:3,3 is walked upside down, and neither its named shape nor the
+    # flip goes through the checking constructor
+    built, init = [], HPolygon.__init__
+
+    def counting_init(self, vertices):
+        built.append(vertices)
+        init(self, vertices)
+
+    monkeypatch.setattr(HPolygon, "__init__", counting_init)
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    assert cli.main(["compute", "--polygon", "sigma2:3,3", "--genus", "0..4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert built == []
+
+
 def mixed_slope_polygons():
     """Draws from every h-transverse polygon of height 2..4 and row widths
     <= 4 whose sides step by -2..2 per row, with more than one slope on some
@@ -407,10 +438,11 @@ def test_closing_step_matches_enumeration_on_short_polygons():
 def test_walk_returns_only_counts_in_its_span():
     # the closing step adds an emission only once it reaches lo
     for poly in short_polygons():
-        widths = poly.floor_profile()
+        widths, end_slopes = poly.floor_profile(), poly.end_slopes()
         base = widths[0] + poly.height - 1
         for genus in range(poly.interior_lattice_count() + 2):
-            assert set(floordiag._walk(poly, widths, base + genus, base + genus)) <= {base + genus}
+            walked = floordiag._walk(widths, end_slopes, base + genus, base + genus)
+            assert set(walked) <= {base + genus}
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from floordiagrams.invariants import (
 )
 from floordiagrams.laurent import LaurentPoly
 from floordiagrams.polygon import HPolygon
+from test_floordiag import small_polygons
 
 HEXAGON = HPolygon([(0, 2), (2, 0), (3, 0), (3, 1), (1, 3), (0, 3)])
 PENTAGON = HPolygon([(0, 2), (2, 0), (4, 0), (2, 2), (0, 3)])
@@ -370,3 +371,31 @@ def test_genus_values_delegate_to_diagrams(table):
     assert cubic == LaurentPoly({-1: 1, 0: 10, 1: 1})
     assert table.gw_value(HPolygon.p2_triangle(3), genus=0) == 12
     assert table.welschinger_value(HPolygon.p2_triangle(3), 0) == 8
+
+
+def test_a_record_does_not_depend_on_what_the_table_saw_first(tmp_path):
+    # an extrapolated pair value can depend on the cut corner, and so on
+    # which mirror image the recursion runs: a record keys the polygon as
+    # given, so a table that holds the mirror image's record first does not
+    # serve it, and a cache written from both images verifies
+    path = tmp_path / "cache.jsonl"
+    both = InvariantTable(cache_path=str(path))
+    cells = 0
+    for polygon in small_polygons():
+        mirror = HPolygon([(-x, y) for x, y in polygon.vertices])
+        if mirror == polygon:
+            continue
+        for pairs in range(1, max_pairs(polygon) + 1):
+            try:
+                fresh = InvariantTable().record(polygon, 0, pairs)
+            except StuckError:
+                break
+            for seen in (InvariantTable(), both):
+                try:
+                    seen.record(mirror, 0, pairs)
+                except StuckError:
+                    pass
+                assert seen.record(polygon, 0, pairs) == fresh, (polygon, pairs)
+            cells += 1
+    assert cells == 368
+    InvariantTable(cache_path=str(path), verify_cache=True)
