@@ -22,7 +22,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .fixtures import read_json, reference_rows
-from .floordiag import diagram_sum, diagram_terms, refined_invariants
+from .floordiag import diagram_sum, diagram_terms
 from .invariants import (
     CACHE_ENV_VAR,
     ENGINE_VERSION,
@@ -211,6 +211,22 @@ def _admitted(table, rows) -> tuple:
     return rows
 
 
+def _plan(table, rows, instances=()):
+    """Fill the pairs = 0 cells that the golden rows and the conjecture
+    instances will read, before any of them runs: one genus_records call
+    per polygon, so one walk per run of its genera.  A cell with pairs > 0
+    is at genus 0, where its polygon's pair column starts."""
+    cells: dict[str, set] = {}
+    for row in rows:
+        cells.setdefault(row.spec(), set()).add(row.genus)
+    for a, b, genus, _ in instances:
+        trapezoid, terms = surgery.quadric_specs(a, b)
+        for spec in (trapezoid, *(spec for _, spec in terms)):
+            cells.setdefault(spec, set()).add(genus)
+    for spec, genera in cells.items():
+        table.genus_records(table.polygon(spec), sorted(genera))
+
+
 def _replay(table, rows, emit: str) -> int:
     """Replay golden rows against table, print the report, return its exit code."""
     report = []
@@ -266,21 +282,27 @@ def run_appendix(args) -> int:
     if args.genus_only:
         rows = tuple(r for r in rows if r.pairs == 0)
     table = InvariantTable(cache_path=args.cache)
-    return _replay(table, _admitted(table, rows), args.emit)
+    rows = _admitted(table, rows)
+    _plan(table, rows)
+    return _replay(table, rows, args.emit)
 
 
 def _check_symmetry(table) -> dict:
-    # table only builds the polygons: each embedding is evaluated directly
+    # the table keys each embedding as given, so rect:a,b and rect:b,a are
+    # two records, each walked on its own or read from the cache
     failures = []
     checked = 0
     for a, b in SYMMETRY_SHAPES:
         rect = table.polygon(f"rect:{a},{b}")
-        swapped = table.polygon(f"rect:{b},{a}")
-        # direct evaluation on each embedding, no canonicalization
         genera = range(rect.interior_lattice_count() + 1)
-        left, right = refined_invariants(rect, genera), refined_invariants(swapped, genera)
+        left = table.genus_records(rect, genera)
+        right = table.genus_records(table.polygon(f"rect:{b},{a}"), genera)
         checked += len(genera)
-        failures += [{"shape": [a, b], "genus": g} for g in genera if left[g] != right[g]]
+        failures += [
+            {"shape": [a, b], "genus": g}
+            for g, one, other in zip(genera, left, right)
+            if one.value != other.value
+        ]
     return surgery.identity_report("symmetry", checked, failures)
 
 
@@ -353,7 +375,9 @@ def run_verify(args) -> int:
     table = InvariantTable(cache_path=args.cache)
     # the rows are checked before any identity computes a record
     rows = _admitted(table, reference_rows(args.fixtures)) if args.suite == "all" else None
-    reports = [IDENTITY_CHECKS[name](table) for name in args.identity or IDENTITIES]
+    names = args.identity or IDENTITIES
+    _plan(table, rows or (), CONJECTURE_INSTANCES if "conj-quadric" in names else ())
+    reports = [IDENTITY_CHECKS[name](table) for name in names]
     appendix_exit = 0 if rows is None else _replay(table, rows, args.emit)
     payload = {
         "engine": ENGINE_VERSION,
@@ -464,7 +488,7 @@ def main(argv=None) -> int:
         # request's frames: an allocation while they hold the memory (the
         # handler's print, or the tuple of another clause) can spin for minutes
         pass
-    except RecursionError:  # the pair recursion takes one level per pair
+    except RecursionError:  # one level per polygon of a chain of corner cuts
         print(f"error: request nests deeper than the stack limit of "
               f"{sys.getrecursionlimit()} calls", file=sys.stderr)
         return 2

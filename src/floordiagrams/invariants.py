@@ -193,6 +193,7 @@ class InvariantTable:
         self._torn_cache_lines = 0
         self._torn: tuple[int, int] | None = None  # byte span of a torn last line
         self._cuts: dict[HPolygon, tuple] = {}
+        self._sweeps: dict[tuple, tuple[LaurentPoly, ...]] = {}  # descendant_value_set's memo
         self._polygons: dict[str, HPolygon] = {}
         # the cache by key text, in file order: a matched line or a decoded record
         self._index: dict[str, re.Match | InvariantRecord] = {}
@@ -238,11 +239,11 @@ class InvariantTable:
         self._append_cache(key, rec)
         return rec
 
-    def genus_records(self, polygon, genera: range) -> list[InvariantRecord]:
-        """The pairs = 0 records of the genera, in order.  Memoized and
-        cached ones are reused; the rest come from one refined_invariants
-        call, one walk per run of consecutive missing genera, and are
-        stored and appended in ascending genus order."""
+    def genus_records(self, polygon, genera) -> list[InvariantRecord]:
+        """The pairs = 0 records of the genera, an ascending sequence, in
+        order.  Memoized and cached ones are reused; the rest come from one
+        refined_invariants call, one walk per run of consecutive missing
+        genera, and are stored and appended in ascending genus order."""
         keys = [InvariantKey.make(polygon, genus, 0) for genus in genera]
         missing = [key.genus for key in keys if self._known(key) is None]
         if missing:
@@ -284,6 +285,13 @@ class InvariantTable:
     def _compute(self, polygon, genus: int, pairs: int) -> InvariantRecord:
         if pairs == 0:
             return InvariantRecord(_direct_invariant(polygon, genus), False)
+        # the polygon's own column is filled from its lowest missing pair
+        # count up, so the recursion nests once per polygon, not per pair
+        low = pairs - 1
+        while low and self._known(InvariantKey(polygon.vertices, 0, low - 1)) is None:
+            low -= 1
+        for s in range(low, pairs - 1):
+            self.record(polygon, 0, s)
         children = self._children(polygon)
         full = self.record(next(children)[1], 0, pairs - 1)
         value = full.value
@@ -298,9 +306,11 @@ class InvariantTable:
         """Every value reachable by varying the cut corner at every step.
 
         The recursion claims corner independence, so this should always be a
-        single value; the sweep is what the independence test runs.
+        single value; the sweep is what the independence test runs.  Its
+        memo on (polygon, pairs) is the table's, so a sweep reuses the
+        values of every earlier one.
         """
-        memo: dict[tuple, tuple[LaurentPoly, ...]] = {}
+        memo = self._sweeps
 
         def sweep(poly, s) -> tuple[LaurentPoly, ...]:
             key = (poly, s)

@@ -140,6 +140,15 @@ def quadric_rhs_terms(a: int, b: int):
     return terms
 
 
+def quadric_specs(a: int, b: int) -> tuple[str, tuple]:
+    """The named specs a conjecture instance reads: the trapezoid, and the
+    (u-weight, rectangle) terms of its quadric expansion in order."""
+    terms = tuple(
+        (term["coeff"], surface_spec("QH", *term["bidegree"])) for term in quadric_rhs_terms(a, b)
+    )
+    return surface_spec("Sigma2", a, b), terms
+
+
 def check_conjecture_quadric(table, a: int, b: int, genus: int, pairs: int = 0) -> dict:
     """Compare the trapezoid invariant with its u-weighted quadric expansion.
 
@@ -150,11 +159,11 @@ def check_conjecture_quadric(table, a: int, b: int, genus: int, pairs: int = 0) 
     """
     if pairs and genus:
         raise SurgeryError("conjugate pairs only refine genus 0")
+    trapezoid, terms = quadric_specs(a, b)
     rhs = LaurentPoly.zero()
-    for term in quadric_rhs_terms(a, b):
-        polygon = table.polygon(surface_spec("QH", *term["bidegree"]))
-        rhs = rhs + term["coeff"] * table.record(polygon, genus, pairs).value
-    lhs = table.record(table.polygon(surface_spec("Sigma2", a, b)), genus, pairs).value
+    for coeff, spec in terms:
+        rhs = rhs + coeff * table.record(table.polygon(spec), genus, pairs).value
+    lhs = table.record(table.polygon(trapezoid), genus, pairs).value
     return {
         "a": a,
         "b": b,

@@ -118,15 +118,24 @@ def test_compute_huge_pairs_range_is_refused_at_once(capsys):
     assert err.startswith("error: pairs = 1000000000000 exceeds half the point count")
 
 
-def test_compute_pairs_deeper_than_the_stack_exit_2(capsys):
-    # one floor 2000 wide admits 2000 pairs, each a level of the recursion
-    code, out, err = run(capsys, "compute", "--polygon", "rect:2000,1", "--pairs", "1500")
+def test_compute_pairs_deeper_than_the_stack_exit_2(capsys, monkeypatch):
+    # a recursion past the stack limit is a request too large for the stack
+    def too_deep(*args):
+        raise RecursionError
+
+    monkeypatch.setattr(InvariantTable, "record", too_deep)
+    code, out, err = run(capsys, "compute", "--polygon", "rect:2,2", "--pairs", "1")
     assert (code, out) == (2, "")
     limit = sys.getrecursionlimit()
     assert err == f"error: request nests deeper than the stack limit of {limit} calls\n"
-    # a range fills the column from below, one level at a time
-    code, out, _ = run(capsys, "compute", "--polygon", "rect:2000,1", "--pairs", "0..1500")
-    assert (code, out.splitlines()[-1]) == (0, "rect:2000,1 g=0 s=1500: 1")
+
+
+@pytest.mark.parametrize("span", ["1500", "0..1500"])
+def test_compute_a_deep_pairs_column_answers(capsys, span):
+    # one floor 2000 wide admits 2000 pairs: a miss fills the polygon's own
+    # column from below, so the recursion nests once per polygon, not per pair
+    code, out, err = run(capsys, "compute", "--polygon", "rect:2000,1", "--pairs", span)
+    assert (code, out.splitlines()[-1], err) == (0, "rect:2000,1 g=0 s=1500: 1", "")
 
 
 WALKS = [
@@ -764,25 +773,60 @@ def test_verify_all_builds_each_named_polygon_once(capsys, monkeypatch):
 
 def test_verify_all_builds_one_table(capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    counts = {"tables": 0, "computed": 0}
-    init, compute = InvariantTable.__init__, InvariantTable._compute
+    counts = {"tables": 0, "made": 0}
+    init, append = InvariantTable.__init__, InvariantTable._append_cache
 
     def counting_init(self, *args, **kwargs):
         counts["tables"] += 1
         init(self, *args, **kwargs)
 
-    def counting_compute(self, *args, **kwargs):
-        counts["computed"] += 1
-        return compute(self, *args, **kwargs)
+    def counting_append(self, *args, **kwargs):
+        counts["made"] += 1
+        return append(self, *args, **kwargs)
 
     monkeypatch.setattr(InvariantTable, "__init__", counting_init)
-    monkeypatch.setattr(InvariantTable, "_compute", counting_compute)
+    # every record a table makes, by record or by genus_records, is appended
+    monkeypatch.setattr(InvariantTable, "_append_cache", counting_append)
     code, _, _ = run(capsys, "verify", "--suite", "all")
     assert code == 1
     assert counts["tables"] == 1
     # a record keys the polygon as given, so eight mirror twins of the
-    # recursion are computed on their own
-    assert counts["computed"] == 164
+    # recursion and both embeddings of each symmetry shape are records
+    assert counts["made"] == 160
+
+
+def walked_shapes(monkeypatch) -> list:
+    """The (widths, end_slopes) of every transfer walk from now on."""
+    shapes, walk = [], floordiag._walk
+
+    def recording_walk(widths, end_slopes, lo, hi):
+        shapes.append((widths, end_slopes))
+        return walk(widths, end_slopes, lo, hi)
+
+    monkeypatch.setattr(floordiag, "_walk", recording_walk)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "argv, distinct",
+    [(("verify", "--suite", "all"), 56), (("appendix",), 27)],
+    ids=["verify-all", "appendix"],
+)
+def test_a_request_walks_each_shape_once(capsys, monkeypatch, argv, distinct):
+    # the golden rows' and the conjecture instances' genus cells are filled
+    # per polygon before any check runs, and symmetry reads the table
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    shapes = walked_shapes(monkeypatch)
+    run(capsys, *argv)
+    assert len(shapes) == len(set(shapes)) == distinct
+
+
+def test_a_cached_verify_walks_nothing(capsys, monkeypatch, tmp_path):
+    cache = str(tmp_path / "cache.jsonl")
+    first = run(capsys, "--cache", cache, "verify", "--suite", "all")
+    shapes = walked_shapes(monkeypatch)
+    assert run(capsys, "--cache", cache, "verify", "--suite", "all") == first
+    assert shapes == []
 
 
 @pytest.mark.parametrize(

@@ -67,6 +67,24 @@ def test_corner_choice_does_not_matter(table):
     assert values[0].coefficient(0) == 176
 
 
+def test_sweeps_share_the_tables_memo(monkeypatch):
+    rect = HPolygon.rectangle(2, 4)
+    table = InvariantTable()
+    both = table.descendant_value_set(rect, 2)
+    one = InvariantTable().descendant_value_set(rect, 1)
+    expanded, children = [], InvariantTable._children
+
+    def recording_children(self, polygon, every=False):
+        expanded.append(polygon)
+        return children(self, polygon, every)
+
+    monkeypatch.setattr(InvariantTable, "_children", recording_children)
+    # the s = 2 sweep went through s = 1, so neither expands a node again
+    assert table.descendant_value_set(rect, 1) == one
+    assert table.descendant_value_set(rect, 2) == both
+    assert expanded == []
+
+
 def test_stuck_recursion_raises(table):
     with pytest.raises(InvariantError, match="no corner has room"):
         table.refined_descendant(HPolygon.rectangle(3, 3), 3)
@@ -126,6 +144,25 @@ def test_a_stuck_key_raises_again_without_computing_or_caching(tmp_path, monkeyp
         table.refined_descendant(rect, 3)
     assert str(again.value) == str(first.value)
     assert cached_keys() == keys
+
+
+def test_a_key_stuck_below_the_asked_one_keeps_its_error(monkeypatch):
+    # rect:3,3 sticks at s = 3: asked at s = 5, the stuck key is met while
+    # the column below is filled, and the asked key is memoized with its error
+    rect = HPolygon.rectangle(3, 3)
+    with pytest.raises(StuckError) as below:
+        InvariantTable().refined_descendant(rect, 3)
+    table = InvariantTable()
+    with pytest.raises(StuckError) as first:
+        table.refined_descendant(rect, 5)
+
+    def never_called(*args):
+        raise AssertionError("recomputed a stuck key")
+
+    monkeypatch.setattr(InvariantTable, "_compute", never_called)
+    with pytest.raises(StuckError) as again:
+        table.refined_descendant(rect, 5)
+    assert str(first.value) == str(again.value) == str(below.value)
 
 
 def test_stuck_polygons_are_the_known_blockers(table):
