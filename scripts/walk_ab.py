@@ -11,9 +11,10 @@ two trees may split the same genera into different walks.  It then exports
 the committed files of PARENT with `git archive`, as scripts/ab_pairs.py
 does, loads both trees' packages in this one process and runs every distinct
 recorded call on both, interleaved, keeping each side's best CPU time of the
-repeats.  Before each timed run it clears every memo of that side's floordiag
-(each function with a cache_clear), so the ratio compares cold walks, as a
-one-shot CLI process makes them.  The values must be equal.
+repeats.  Before each timed run it calls cache_clear on every memo of that
+side's floordiag, the shape id table `_shape_id` included, so the ratio
+compares cold walks, as a one-shot CLI process makes them.  The values must
+be equal.
 It prints each workload's cells, the summed best times and their ratio, and
 exits 1 if any value differs.
 """

@@ -230,8 +230,9 @@ def _emissions(flow: int, most: int, labelled: int, K: int = 1, least: int = 1) 
     if flow == 0:
         return (((), 0, _ONE),)
     out = []
-    for w in range(least, flow + 1):
-        square, power = [(e * K, c) for e, c in quantum_square(w).to_coeff_dict().items()], _ONE
+    for w in range(least, flow + 1 if most else least):  # most = 0 allows no elevator
+        # [w]^2 = sum over |e| < w of (w - |e|) q^e, with no LaurentPoly built
+        square, power = [(e * K, w - abs(e)) for e in range(1 - w, w)], _ONE
         for k in range(1, min(most, flow // w) + 1):
             power = tuple(mul_add(dict(power), square, 1, {}).items())
             for counts, n, mult in _emissions(flow - k * w, most - k, labelled, K, w + 1):
@@ -240,13 +241,26 @@ def _emissions(flow: int, most: int, labelled: int, K: int = 1, least: int = 1) 
     return tuple(out)
 
 
-def _tally(items, merged=(), label=0) -> tuple:
-    """Sorted counts of the items, every component in merged renamed label."""
+_SHAPES = []  # the shape of each id, in the order _shape_id met them
+
+
+@cache
+def _shape_id(shape: tuple) -> int:
+    """The small int that names a counted shape in the walk's states and
+    tables.  The list of shapes only grows, so an id never names a second
+    shape, not even after a cache_clear of this table alone, which the
+    tables keyed by ids would outlive."""
+    _SHAPES.append(shape)
+    return len(_SHAPES) - 1
+
+
+def _tally(items, merged=(), label=0) -> int:
+    """The id of the sorted counts of the items, every component in merged renamed label."""
     out = {}
     for (w, comp), c in items:
         key = (w, label if comp in merged else comp)
         out[key] = out.get(key, 0) + c
-    return tuple(sorted(out.items()))
+    return _shape_id(tuple(sorted(out.items())))
 
 
 @cache
@@ -271,81 +285,96 @@ def _slope_moves(end_slopes: tuple) -> tuple:
 
 
 def _subsets(items) -> list:
-    """(ways, weight, taken, left) for each sub-multiset of the counted
+    """(ways, weight, size, taken, left) for each sub-multiset of the counted
     (weight, component) classes, taking a of each class's c in prod C(c, a)
-    ways; weight is its total, taken and left count the classes taken and
-    the rest, in the items' order."""
-    rows = [(1, 0, (), ())]
+    ways; weight and size are its total weight and count, taken and left
+    count the classes taken and the rest, in the items' order."""
+    rows = [(1, 0, 0, (), ())]
     for kind, c in items:  # extended by each count a of the class in turn
-        rows = [(ways * comb(c, a), weight + a * kind[0], taken + ((kind, a),) if a else taken,
-                 left + ((kind, c - a),) if a < c else left)
-                for ways, weight, taken, left in rows for a in range(c + 1)]
+        rows = [(ways * comb(c, a), weight + a * kind[0], size + a,
+                 taken + ((kind, a),) if a else taken, left + ((kind, c - a),) if a < c else left)
+                for ways, weight, size, taken, left in rows for a in range(c + 1)]
     return rows
 
 
 @cache
-def _gap_picks(unplaced: tuple) -> tuple:
-    """(weight, ways, left, added), heaviest first, for each placement of a of
-    the c elements of each unplaced class in a gap, in (sum a)! prod C(c, a) ways."""
-    return tuple(sorted(((weight, factorial(sum(a for _, a in added)) * ways, left, added)
-                         for ways, weight, added, left in _subsets(unplaced)), reverse=True))
+def _gap_picks(uid: int) -> tuple:
+    """(weight, ways, left id, added id), heaviest first, for each placement of
+    a of the c elements of each unplaced class in a gap, in (sum a)! prod C(c, a) ways."""
+    return tuple(sorted(((weight, factorial(size) * ways, _shape_id(left), _shape_id(added))
+                         for ways, weight, size, added, left in _subsets(_SHAPES[uid])),
+                        reverse=True))
 
 
 @cache
-def _merged(placed: tuple, added: tuple) -> tuple:
+def _merged(pid: int, aid: int) -> int:
     """The placed elements once a gap has added its placement."""
-    return _tally(placed + added)
+    return _tally(_SHAPES[pid] + _SHAPES[aid])
+
+
+@cache
+def _weight(pid: int) -> int:
+    """The total weight of the placed elements."""
+    return sum(w * c for (w, _), c in _SHAPES[pid])
 
 
 def _gap_step(states: dict, slopes: tuple) -> dict:
     """Places the unplaced elements in the gap in each way of _gap_picks, heaviest
     first, up to the first that leaves the next floor less than its least slopes."""
     out = {}
-    for (unplaced, placed, labelled, tops, sid), poly in states.items():
-        least = slopes[sid][0] - sum(w * c for (w, _), c in placed)
-        for weight, ways, left, added in _gap_picks(unplaced):
+    for (uid, pid, labelled, tops, sid), poly in states.items():
+        least = slopes[sid][0] - _weight(pid)
+        for weight, ways, lid, aid in _gap_picks(uid):
             if weight < least:
                 break
-            into = out.setdefault((left, _merged(placed, added), labelled, tops, sid), {})
+            into = out.setdefault((lid, _merged(pid, aid), labelled, tops, sid), {})
             for e, c in poly.items():
                 into[e] = into.get(e, 0) + c * ways
     return out
 
 
 @cache
-def _floor_picks(placed: tuple) -> tuple:
-    """(ways, inflow, merged, taken, label, waiting) for each sub-multiset of
-    the placed elements that a floor can take in: the flow it brings, the
+def _floor_picks(pid: int) -> tuple:
+    """(ways, inflow, merged, taken, label, waiting id) for each sub-multiset
+    of the placed elements that a floor can take in: the flow it brings, the
     components it absorbs and the elevators it takes from them, the label
     of the one component that the floor and those become (their lowest
     floor, 0 for the floor's own), and the placed elements left waiting, renamed so."""
     rows = []
-    for ways, inflow, picked, waiting in _subsets(placed):
+    for ways, inflow, _, picked, waiting in _subsets(_SHAPES[pid]):
         merged, taken = set(), 0
         for (_, comp), b in picked:
             if comp:
                 merged.add(comp)
                 taken += b
         label = min(merged, default=0)
-        if len(merged) > 1:
-            waiting = _tally(waiting, merged, label)
-        rows.append((ways, inflow, tuple(merged), taken, label, waiting))
+        wid = _tally(waiting, merged, label) if len(merged) > 1 else _shape_id(waiting)
+        rows.append((ways, inflow, tuple(merged), taken, label, wid))
     return tuple(rows)
 
 
 @cache
-def _emitted(left: tuple, counts: tuple, label: int) -> tuple:
+def _renamed(uid: int, merged: tuple) -> int:
+    """The unplaced elements once the components in merged become their lowest."""
+    return _tally(_SHAPES[uid], merged, min(merged))
+
+
+@cache
+def _emitted(lid: int, counts: tuple, label: int) -> int:
     """The unplaced elements once a floor emits the counted weights into label."""
-    return _tally(left + tuple(((w, label), c) for w, c in counts))
+    return _tally(_SHAPES[lid] + tuple(((w, label), c) for w, c in counts))
 
 
-def _held(unplaced: tuple, placed: tuple) -> dict:
-    """Elevators not yet absorbed, counted by component; bottom ends have none."""
+@cache
+def _held(uid: int, pid: int) -> tuple:
+    """For the unplaced and placed ids: the elevators not yet absorbed,
+    counted by component (bottom ends have none), their count less the
+    number of components, and the unplaced count."""
     held = {}
-    for (_, comp), c in unplaced + placed:
+    for (_, comp), c in _SHAPES[uid] + _SHAPES[pid]:
         if comp:
             held[comp] = held.get(comp, 0) + c
-    return held
+    return held, sum(held.values()) - len(held), sum(c for _, c in _SHAPES[uid])
 
 
 def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: tuple, K: int) -> dict:
@@ -360,21 +389,21 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: tuple,
     hi - K + 1 + j for the term e*K + j of a sum, at every K (j = 0 at K = 1).
     Each state's sum is taken once per t, term by term."""
     out = {}
-    for (unplaced, placed, labelled, tops, sid), poly in states.items():
+    for (uid, pid, labelled, tops, sid), poly in states.items():
         rest, short = hi - labelled, need - labelled  # elevators: most to come, fewest now
+        held, excess, u = _held(uid, pid)
         # the places of the t top ends above floor f if L = hi: floors,
         # elevators to come, unplaced elements and the top ends left
-        places = h - f + rest + sum(c for _, c in unplaced) + tops
+        places = h - f + rest + u + tops
         rows = {0: poly}  # the sum by t, each term times its top-end factor
         # with the elevators to come, each one held joins at most two of the
         # components and floors left
-        held = _held(unplaced, placed)
-        spare = rest + sum(held.values()) - len(held) - h + f
-        for ways, inflow, merged, taken, label, waiting in _floor_picks(placed):
+        spare = rest + excess - h + f
+        for ways, inflow, merged, taken, label, wid in _floor_picks(pid):
             if spare - taken + len(merged) < 0:
                 continue
             pending = sum(map(held.__getitem__, merged)) > taken
-            left = _tally(unplaced, merged, label) if len(merged) > 1 else unplaced
+            lid = _renamed(uid, merged) if len(merged) > 1 else uid
             for slope, nid in slopes[sid][1]:
                 room = inflow - slope  # the flow plus the top ends
                 # a floor leaves its component something crossing above
@@ -386,8 +415,8 @@ def _floor_step(states: dict, f: int, h: int, hi: int, need: int, slopes: tuple,
                                           for k, c in poly.items()}
                     for counts, n, mult in _emissions(flow, min(flow, rest), labelled, K):
                         if n >= short:
-                            now = _emitted(left, counts, label or f) if n else left
-                            into = out.setdefault((now, waiting, labelled + n, tops - t, nid), {})
+                            now = _emitted(lid, counts, label or f) if n else lid
+                            into = out.setdefault((now, wid, labelled + n, tops - t, nid), {})
                             for x, d in mult:
                                 d *= ways
                                 for e, c in part.items():
@@ -414,13 +443,12 @@ def _close_step(states: dict, h: int, hi: int, need: int, slopes: tuple, K: int)
     short of a keyed run, or the whole sum at K = 1, where lo = hi or the
     top row is one point and L itself gives the genus."""
     out, tails = {}, {}
-    for (unplaced, placed, labelled, tops, sid), poly in states.items():
+    for (uid, pid, labelled, tops, sid), poly in states.items():
         rest, short = hi - labelled, need - labelled
-        u = sum(c for _, c in unplaced)
-        held = _held(unplaced, placed)
-        spare = rest + sum(held.values()) - len(held) - 1
+        held, excess, u = _held(uid, pid)
+        spare = rest + excess - 1
         factors = {}  # the closing factor by emission count
-        for ways, inflow, merged, taken, _, _ in _floor_picks(placed):
+        for ways, inflow, merged, taken, _, _ in _floor_picks(pid):
             if spare - taken + len(merged) < 0:
                 continue
             pending = sum(map(held.__getitem__, merged)) > taken
@@ -459,7 +487,8 @@ def _walk(widths: tuple, end_slopes: tuple, lo: int, hi: int) -> dict:
     K = hi - lo + 1 if widths[-1] else 1  # terms e*K + j, j = L - lo
     slopes = _slope_moves(end_slopes)
     unplaced = (((1, 0), widths[0]),) if widths[0] else ()
-    states = {(unplaced, (), widths[0], widths[-1], 0): dict.fromkeys(range(K), 1)}
+    key = (_shape_id(unplaced), _shape_id(()), widths[0], widths[-1], 0)
+    states = {key: dict.fromkeys(range(K), 1)}
     for f in range(1, h - 1):
         # an elevator from floor k crosses above it, where no assignment of
         # the slopes is wider than the polygon's row k, so the floors
@@ -494,12 +523,13 @@ def refined_invariants(polygon, genera) -> dict[int, LaurentPoly]:
     divergence sequence shares the walk.  A state's partial sum is (bottom
     width + elevators)! times too large until the one division at the end.
     Top ends never enter a state: the floor that emits them counts their
-    places above it.  Each step reads its choices from process-wide memos
-    keyed by shape alone (unplaced or placed tuple, end slopes).  Floor h - 1
-    closes the walk (_close_step): it builds no states, but sums each
-    state's closing factors by elevator count and multiplies its sum once
-    per count into the sum of its labelled count, as the last gap and the
-    top floor add only a factorial.
+    places above it.  Each counted shape is named by a small int id
+    (_shape_id), so a state is five ints, and each step reads its choices
+    from process-wide memos keyed by shape alone (shape ids, emitted weight
+    counts, end slopes), never by polygon, floor or genus.  Floor h - 1 closes the walk (_close_step): it
+    builds no states, but sums each state's closing factors by elevator
+    count and multiplies its sum once per count into the sum of its
+    labelled count, as the last gap and the top floor add only a factorial.
 
     The genus enters through the prunes, as the number of labelled elements,
     bottom width + genus + h - 1, and through the places of the top ends,

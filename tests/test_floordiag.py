@@ -516,7 +516,8 @@ def test_a_joint_walk_keeps_only_the_terms_whose_count_is_in_reach(monkeypatch):
 def subsets_by_shape(monkeypatch, run) -> tuple:
     """(Counter of the inputs of the _subsets calls that run() makes, Counter
     of the distinct unplaced tuples of the gap steps' states plus the
-    distinct placed tuples of the floor and closing steps' states)."""
+    distinct placed tuples of the floor and closing steps' states, each
+    read through the id table from its id in the state key)."""
     made, shapes, subsets = Counter(), {0: set(), 1: set()}, floordiag._subsets
 
     def counted(items):
@@ -527,7 +528,7 @@ def subsets_by_shape(monkeypatch, run) -> tuple:
         step = getattr(floordiag, name)
 
         def watched(states, *args):
-            shapes[shape].update(key[shape] for key in states)
+            shapes[shape].update(floordiag._SHAPES[key[shape]] for key in states)
             return step(states, *args)
 
         monkeypatch.setattr(floordiag, name, watched)
@@ -607,11 +608,47 @@ def test_memos_carry_no_state_from_one_walk_to_the_next(octagon, cold_memos, mon
         return out
 
     warm = values(lambda: None)
-    assert {"_emitted", "_floor_picks", "_gap_picks", "_merged", "_slope_moves"} <= set(calls)
+    assert {"_emitted", "_floor_picks", "_gap_picks", "_held", "_merged", "_shape_id",
+            "_slope_moves", "_weight"} <= set(calls)
+    shapes = floordiag._SHAPES
     for name, args in calls.items():
         for arg in args:
-            assert memos[name](*arg) == memos[name].__wrapped__(*arg), (name, arg)
+            if name == "_shape_id":  # a fresh call issues a new id for the same shape
+                assert shapes[memos[name](*arg)] == shapes[memos[name].__wrapped__(*arg)] == arg[0]
+            else:
+                assert memos[name](*arg) == memos[name].__wrapped__(*arg), (name, arg)
     assert values(cold_memos) == warm
+
+
+def test_an_id_names_one_shape_across_a_clear(cold_memos):
+    # the id table is a memo like the others, but the list of shapes it
+    # appends to never shrinks: a cleared table issues new ids, so an id
+    # issued before the clear still names its own shape
+    rect = HPolygon.from_spec("rect:3,3")
+    before = refined_invariants(rect, range(5))
+    named = list(floordiag._SHAPES)
+    cold_memos()
+    assert refined_invariants(rect, range(5)) == before
+    assert floordiag._SHAPES[: len(named)] == named
+    # the two walks share their shapes, which now have new ids
+    shared = (((1, 0), 3),), ()
+    assert all(shape in named for shape in shared)
+    assert all(floordiag._shape_id(shape) >= len(named) for shape in shared)
+
+
+def test_every_state_key_is_five_ints(monkeypatch):
+    # a state is (unplaced id, placed id, labelled, tops, slope id), so its
+    # key hashes ints only
+    keys = []
+    for name in ("_gap_step", "_floor_step", "_close_step"):
+        def watched(states, *args, step=getattr(floordiag, name)):
+            keys.extend(states)
+            return step(states, *args)
+
+        monkeypatch.setattr(floordiag, name, watched)
+    refined_invariants(HPolygon.from_spec("sigma2:3,2"), range(4))
+    assert len(keys) > 50
+    assert all(len(key) == 5 and all(type(x) is int for x in key) for key in keys)
 
 
 def test_walk_refuses_a_sum_that_the_labelled_factorial_does_not_divide(monkeypatch, cold_memos):

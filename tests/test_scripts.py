@@ -154,6 +154,22 @@ def test_walk_ab_records_times_and_compares_walks(walk_ab, tmp_path):
     walk_ab.time_cells({"change": types.SimpleNamespace(polygon=engine.polygon, floordiag=walks)},
                        cells, 2)
     assert runs == ["clear", "walk"] * 4
+    # every memo of the change's walk, the shape id table included, is
+    # empty when a timed run starts, though the other side's runs, on the
+    # same module here, filled them
+    memos = {name: f for name, f in vars(engine.floordiag).items() if hasattr(f, "cache_clear")}
+    assert "_shape_id" in memos
+
+    def sized(polygon, genera):
+        runs.append({name: memo.cache_info().currsize for name, memo in memos.items()})
+        return engine.floordiag.refined_invariants(polygon, genera)
+
+    runs.clear()
+    walks = types.SimpleNamespace(**memos, refined_invariants=sized)
+    change = types.SimpleNamespace(polygon=engine.polygon, floordiag=walks)
+    best, mismatched = walk_ab.time_cells({"parent": engine, "change": change}, cells, 2)
+    assert mismatched == [] and len(runs) == 4
+    assert all(set(sizes.values()) == {0} for sizes in runs)
     line = walk_ab.report("wide-ends", cells, {"parent": dict.fromkeys(cells, 0.002),
                                                "change": dict.fromkeys(cells, 0.001)})
     assert line.split() == ["wide-ends", "2", "cells", "parent", "4.00", "ms",

@@ -50,9 +50,11 @@ def test_process_wide_memos_are_pinned():
             elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                 if _is_memo(node.value.func):
                     found.update(f"{path.stem}.{ast.unparse(t)}" for t in node.targets)
-    # the walk's tables, keyed by shape alone (tests/test_floordiag.py
-    # checks that warm and cleared memos give the same values)
-    walk = {"_emissions", "_emitted", "_floor_picks", "_gap_picks", "_merged", "_slope_moves"}
+    # the walk's shape id table and its tables, keyed by shape alone
+    # (tests/test_floordiag.py checks that warm and cleared memos give the
+    # same values, and that an id names one shape across a clear)
+    walk = {"_emissions", "_emitted", "_floor_picks", "_gap_picks", "_held", "_merged",
+            "_renamed", "_shape_id", "_slope_moves", "_weight"}
     assert found == {"cli.build_parser"} | {f"floordiag.{name}" for name in walk}
 
 
